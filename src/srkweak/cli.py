@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import conditions, forests, harness
@@ -63,13 +64,32 @@ def _cmd_converge(args) -> int:
     if args.json:
         print(harness.table_to_json(table, setup))
     else:
-        print(f"{table.method} on {table.problem}: observed order {table.slope:.3f}")
+        hs = [rec.h for rec in table.records]
+        print(
+            f"{table.method} on {table.problem}: observed order {table.slope:.3f} "
+            f"(least squares over h = {max(hs):g} ... {min(hs):g}, {len(hs)} step sizes; "
+            f"local_order is the slope from the previous h)"
+        )
+        previous = None
         for rec in table.records:
+            local = "" if previous is None else f" local_order={_local_order(previous, rec):.3f}"
             print(
                 f"  h={rec.h:<8g} estimate={rec.estimate:< 14.8g} stderr={rec.stderr:.3g} "
-                f"abs_error={rec.abs_error:.6g} effort={rec.effort_per_step}"
+                f"abs_error={rec.abs_error:.6g} effort={rec.effort_per_step}{local}"
             )
+            previous = rec
     return 0
+
+
+def _local_order(coarse, fine) -> float:
+    """log2(e_i / e_{i+1}) / log2(h_i / h_{i+1}) of two successive records.
+
+    The least-squares slope over all step sizes mixes in the pre-asymptotic
+    ones; the local orders show where the error settles into its order.
+    """
+    if coarse.abs_error <= 0.0 or fine.abs_error <= 0.0 or coarse.h == fine.h:
+        return math.nan
+    return math.log2(coarse.abs_error / fine.abs_error) / math.log2(coarse.h / fine.h)
 
 
 def _cmd_effort(args) -> int:

@@ -16,6 +16,12 @@ instead uses ``Theta[0][p] = theta_p`` and ``Theta[p][0] = 1`` and needs ``m+1``
 scalar variables per step instead of ``2m+1`` (and only ``m`` when ``m = 1``,
 since ``eta_0`` enters only the mixed entries ``Theta[p][q]``, p != q >= 1).
 
+A draw is carried by its generators ``(theta, eta)``, two arrays of shape
+(..., m+1) (:func:`draws_from_uniforms`).  The stepper reads the entries of
+Theta it needs per noise column from :func:`mixing_coefficients`; the dense
+Theta is a derived view (:func:`dense_theta`) for single-step draws, atoms,
+moments and the Langevin chain.
+
 The sample space is finite, so every moment is available exactly through
 :func:`enumerate_atoms` / :func:`moment`; the expectation checks elsewhere use
 tolerance 1e-12 because the support points involve ``sqrt(3)`` arithmetic.
@@ -50,6 +56,8 @@ __all__ = [
     "enumerate_atoms",
     "moment",
     "draws_from_uniforms",
+    "mixing_coefficients",
+    "dense_theta",
 ]
 
 MAX_ATOM_NOISES = 3
@@ -73,6 +81,18 @@ _ITO_PROBS = (
 # Stratonovich three-point law for theta_p
 _STRAT_SUPPORT = (_SQRT3, -_SQRT3, 0.0)
 _STRAT_PROBS = (1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0)
+
+
+# theta takes the i-th support value when its uniform reaches exactly i of these
+_EDGES = {ITO: tuple(np.cumsum(_ITO_PROBS)[:-1]), STRATONOVICH: tuple(np.cumsum(_STRAT_PROBS)[:-1])}
+_SUPPORTS = {ITO: np.array(_ITO_SUPPORT), STRATONOVICH: np.array(_STRAT_SUPPORT)}
+
+# Ito Theta[p][p] = -3 theta_p + theta_p^3 at the ascending support values,
+# which _ITO_MIDPOINTS separate.  Tabulated on Python floats, it is
+# bit-identical to the array formula, whose pow costs ~6x an x*x*x product.
+_ITO_ASCENDING = sorted(_ITO_SUPPORT)
+_ITO_MIDPOINTS = tuple((a + b) / 2.0 for a, b in zip(_ITO_ASCENDING, _ITO_ASCENDING[1:]))
+_ITO_DIAG = np.array([-3.0 * s + s**3 for s in _ITO_ASCENDING])
 
 
 class FamilyError(ValueError):
@@ -126,9 +146,12 @@ class RvFamily:
         return self.rv_count(m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoiseDraw:
-    """One step's realization: ``theta[0..m]`` with theta[0]=1 and the Theta matrix."""
+    """One step's realization: ``theta[0..m]`` with theta[0]=1 and the Theta matrix.
+
+    Slotted: an atom table holds one per atom (1024 for m = 3).
+    """
 
     m: int
     calculus: str
@@ -145,75 +168,95 @@ class AtomTable:
     atoms: tuple
 
 
-def _assemble(family: RvFamily, m: int, eta: np.ndarray, theta_raw: np.ndarray):
-    """Build (theta, Theta) arrays from sign and theta variables.
+def _count_reached(x: np.ndarray, thresholds) -> np.ndarray:
+    """How many of the ascending ``thresholds`` each entry of ``x`` reaches.
 
-    ``eta`` has shape (..., m+1) and ``theta_raw`` (..., m); the results are
-    (..., m+1) and (..., m+1, m+1).
+    Equal to ``np.searchsorted(thresholds, x, side="right")``; with at most
+    three thresholds, one comparison each is about 20x faster.
     """
-    batch = eta.shape[:-1]
-    theta = np.ones(batch + (m + 1,))
-    theta[..., 1:] = theta_raw
-    Theta = np.zeros(batch + (m + 1, m + 1))
-    Theta[..., 0, 0] = 1.0
-    if family.half_variant:
-        Theta[..., 0, 1:] = theta_raw
-        Theta[..., 1:, 0] = 1.0
-    else:
-        c = family.c
-        a = math.sqrt(1.0 / (2.0 * c) - 1.0)
-        b = math.sqrt(2.0 * c / (1.0 - 2.0 * c))
-        Theta[..., 0, 1:] = theta_raw + a * eta[..., 1:]
-        Theta[..., 1:, 0] = 1.0 - b * eta[..., 1:] * theta_raw
-    if family.calculus == ITO:
-        diag = -3.0 * theta_raw + theta_raw**3
-    else:
-        diag = theta_raw
-    for p in range(1, m + 1):
-        Theta[..., p, p] = diag[..., p - 1]
-    if m > 1:
-        plus = 1.0 + eta[..., 0]
-        minus = 1.0 - eta[..., 0]
-        for p in range(1, m + 1):
-            for q in range(1, m + 1):
-                if q > p:
-                    Theta[..., p, q] = theta_raw[..., q - 1] * plus
-                elif q < p:
-                    Theta[..., p, q] = theta_raw[..., q - 1] * minus
-    return theta, Theta
-
-
-def _theta_from_uniform(family: RvFamily, u: np.ndarray) -> np.ndarray:
-    support, probs = family.theta_support
-    edges = np.cumsum(probs)
-    out = np.full(u.shape, support[-1])
-    for value, edge in zip(reversed(support[:-1]), reversed(edges[:-1])):
-        out = np.where(u < edge, value, out)
-    return out
+    idx = (x >= thresholds[0]).view(np.int8)
+    for t in thresholds[1:]:
+        idx += x >= t
+    return idx
 
 
 def draws_from_uniforms(family: RvFamily, m: int, u: np.ndarray):
-    """Map uniforms of shape (..., rv_count(m)) to batched (theta, Theta) arrays.
+    """Map uniforms of shape (..., rv_count(m)) to the generators (theta, eta).
+
+    Both results have shape (..., m+1).  ``theta[..., 0] = 1`` and
+    ``eta[..., p]`` is eta_p; the signs a family does not draw (eta_0 when
+    m = 1, eta_1..eta_m in the c=1/2 variant) are 1.
 
     Column layout: eta_0 first (only when m > 1), then theta_1..theta_m, then
     eta_1..eta_m (only without the c=1/2 variant).  One uniform is consumed
     per scalar random variable, so stream usage per step equals ``rv_count``.
+    A sign is +1 below 1/2; theta takes the i-th support value when its
+    uniform reaches exactly i of the cumulative probabilities.
     """
     k = family.uniforms_per_step(m)
     u = np.asarray(u)
     if u.shape[-1] != k:
         raise ValueError(f"expected {k} uniforms per draw, got {u.shape[-1]}")
     batch = u.shape[:-1]
+    theta = np.ones(batch + (m + 1,))
     eta = np.ones(batch + (m + 1,))
     col = 0
     if m > 1:
         eta[..., 0] = np.where(u[..., col] < 0.5, 1.0, -1.0)
         col += 1
-    theta_raw = _theta_from_uniform(family, u[..., col : col + m])
+    idx = _count_reached(u[..., col : col + m], _EDGES[family.calculus])
+    theta[..., 1:] = _SUPPORTS[family.calculus][idx]
     col += m
     if not family.half_variant:
         eta[..., 1:] = np.where(u[..., col : col + m] < 0.5, 1.0, -1.0)
-    return _assemble(family, m, eta, theta_raw)
+    return theta, eta
+
+
+def mixing_coefficients(family: RvFamily, theta: np.ndarray, eta: np.ndarray):
+    """The entries of Theta that a stage combination reads, each of shape (..., m).
+
+    Returns ``(row0, col0, diag, up, low)``: ``row0[q] = Theta[0][q]``,
+    ``col0[q] = Theta[q][0]``, ``diag[q] = Theta[q][q]`` and, for p, q >= 1,
+    ``Theta[p][q] = up[q] = theta_q (1 + eta_0)`` when q > p and
+    ``low[q] = theta_q (1 - eta_0)`` when q < p.  ``up`` and ``low`` are None
+    when m = 1, which has no mixed entries.
+    """
+    m = theta.shape[-1] - 1
+    th = theta[..., 1:]
+    if family.half_variant:
+        row0 = th
+        col0 = np.ones_like(th)
+    else:
+        c = family.c
+        e = eta[..., 1:]
+        row0 = th + math.sqrt(1.0 / (2.0 * c) - 1.0) * e
+        col0 = 1.0 - math.sqrt(2.0 * c / (1.0 - 2.0 * c)) * e * th
+    diag = _ITO_DIAG[_count_reached(th, _ITO_MIDPOINTS)] if family.calculus == ITO else th
+    if m == 1:
+        return row0, col0, diag, None, None
+    e0 = eta[..., :1]
+    return row0, col0, diag, th * (1.0 + e0), th * (1.0 - e0)
+
+
+def dense_theta(family: RvFamily, theta: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """The matrix Theta of draws given by their generators, shape (..., m+1, m+1).
+
+    A derived view for single-step draws, atoms, moments and the Langevin
+    chain; the batched stepper mixes stages from :func:`mixing_coefficients`.
+    """
+    m = theta.shape[-1] - 1
+    row0, col0, diag, up, low = mixing_coefficients(family, theta, eta)
+    Theta = np.zeros(theta.shape[:-1] + (m + 1, m + 1))
+    Theta[..., 0, 0] = 1.0
+    Theta[..., 0, 1:] = row0
+    Theta[..., 1:, 0] = col0
+    if up is not None:
+        for p in range(1, m + 1):
+            Theta[..., p, p + 1 :] = up[..., p:]
+            Theta[..., p, 1:p] = low[..., : p - 1]
+    idx = np.arange(1, m + 1)
+    Theta[..., idx, idx] = diag
+    return Theta
 
 
 def sample_draw(family: RvFamily, m: int, rng: np.random.Generator) -> NoiseDraw:
@@ -221,7 +264,8 @@ def sample_draw(family: RvFamily, m: int, rng: np.random.Generator) -> NoiseDraw
     if m < 1:
         raise ValueError("need at least one noise")
     u = rng.random(family.uniforms_per_step(m))
-    theta, Theta = draws_from_uniforms(family, m, u)
+    theta, eta = draws_from_uniforms(family, m, u)
+    Theta = dense_theta(family, theta, eta)
     theta.setflags(write=False)
     Theta.setflags(write=False)
     return NoiseDraw(m=m, calculus=family.calculus, theta=theta, Theta=Theta)
@@ -241,20 +285,26 @@ def enumerate_atoms(family: RvFamily, m: int) -> AtomTable:
     if cached is not None:
         return cached
     support, probs = family.theta_support
-    atoms = []
-    eta_prob = 0.5 ** (m + 1)
-    for etas in itertools.product((1.0, -1.0), repeat=m + 1):
-        for idx in itertools.product(range(len(support)), repeat=m):
-            prob = eta_prob
-            for i in idx:
-                prob *= probs[i]
-            eta = np.array(etas)
-            theta_raw = np.array([support[i] for i in idx])
-            theta, Theta = _assemble(family, m, eta, theta_raw)
-            theta.setflags(write=False)
-            Theta.setflags(write=False)
-            atoms.append((prob, NoiseDraw(m=m, calculus=family.calculus, theta=theta, Theta=Theta)))
-    table = AtomTable(m=m, family=family, atoms=tuple(atoms))
+    # outcomes in itertools.product order: signs outer, theta indices inner
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=m + 1)))
+    indices = list(itertools.product(range(len(support)), repeat=m))
+    eta = np.repeat(signs, len(indices), axis=0)
+    theta = np.ones(eta.shape)
+    theta[:, 1:] = np.tile(_SUPPORTS[family.calculus][np.array(indices)], (len(signs), 1))
+    Theta = dense_theta(family, theta, eta)
+    theta.setflags(write=False)
+    Theta.setflags(write=False)
+    theta_probs = []
+    for idx in indices:
+        prob = 0.5 ** (m + 1)
+        for i in idx:
+            prob *= probs[i]
+        theta_probs.append(prob)
+    atoms = tuple(
+        (theta_probs[row % len(indices)], NoiseDraw(m, family.calculus, theta[row], Theta[row]))
+        for row in range(len(eta))
+    )
+    table = AtomTable(m=m, family=family, atoms=atoms)
     _ATOM_CACHE[key] = table
     return table
 

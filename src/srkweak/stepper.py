@@ -19,6 +19,13 @@ iteration cap of 200.  Each diffusion value f^q(H_j^q) is computed once per
 (j, q) and reused everywhere it appears, which is what makes the optimal
 per-step evaluation counts attainable.
 
+A step's noise is carried by its generators (theta, eta) and never as the
+dense (m+1) x (m+1) Theta: the stages read five per-noise coefficient arrays
+(:func:`randvars.mixing_coefficients`), and since the mixed entries are
+``Theta[p][q] = theta_q (1 +- eta_0)`` every row of the stage combination
+follows from exclusive suffix and prefix sums, in O(m) per path.
+:func:`step` slices the same coefficients from its draw's dense Theta.
+
 States are 1-D arrays of length d; everything also runs vectorized over a
 leading batch axis (states of shape (n, d)), which the Monte Carlo harness
 uses.  ``step`` is a pure function of its arguments: identical inputs give
@@ -118,35 +125,45 @@ def _nonzero_cols(row: np.ndarray):
     return [j for j in range(row.shape[0]) if row[j] != 0.0]
 
 
-def _stage_terms(problem, t, xb, h, theta, Theta):
+def _mix(coefficients, F, strato):
+    """Combine the stage values F = f^q(H_j^q), shape (n, m, d), with Theta.
+
+    Returns U = sum_q Theta[0][q] F_q, shape (n, d), and V of shape (n, m, d)
+    whose row p is sum_{q >= 1} Theta[p][q] F_q; for Stratonovich the
+    diagonal q = p is left out, since it enters through Bhat1.  The mixed
+    entries are theta_q (1 +- eta_0), so exclusive suffix and prefix sums
+    give every row in O(m).
+    """
+    row0, _, diag, up, low = coefficients
+    U = np.einsum("nq,nqd->nd", row0, F)
+    V = np.zeros_like(F) if strato else diag[:, :, None] * F
+    if up is not None:
+        G = up[:, 1:, None] * F[:, 1:]
+        np.cumsum(G[:, ::-1], axis=1, out=G[:, ::-1])
+        V[:, :-1] += G                 # row p gets sum_{q > p}
+        np.multiply(low[:, :-1, None], F[:, :-1], out=G)
+        np.cumsum(G, axis=1, out=G)
+        V[:, 1:] += G                  # row p gets sum_{q < p}
+    return U, V
+
+
+def _stage_terms(problem, t, xb, h, coefficients):
     """Evaluate all stage field values; returns (F0 list, Fst list).
 
-    F0[i] is f^0 at drift stage i, shape (n, d); Fst[j] stacks f^q at
-    stochastic stage j over q, shape (n, m, d).
+    ``coefficients`` are the five (n, m) arrays of
+    :func:`randvars.mixing_coefficients`.  F0[i] is f^0 at drift stage i,
+    shape (n, d); Fst[j] stacks f^q at stochastic stage j over q, shape
+    (n, m, d).
     """
     s1, s2, m = t.s1, t.s2, problem.m
     sqh = math.sqrt(h)
     strato = t.calculus == STRATONOVICH
-    Th0q = Theta[:, 0, 1:]            # (n, m)
-    Thp0 = Theta[:, 1:, 0]            # (n, m)
-    Thpq = Theta[:, 1:, 1:]           # (n, m, m)
-    if strato:
-        Th_off = Thpq.copy()
-        idx = np.arange(m)
-        Th_diag = Thpq[:, idx, idx]   # (n, m)
-        Th_off[:, idx, idx] = 0.0
+    _, Thp0, Th_diag, _, _ = coefficients
 
     F0 = [None] * s1
     Fst = [None] * s2
     U = [None] * s2                    # sum_q Theta[0][q] f^q(H_j^q), (n, d)
     V = [None] * s2                    # (n, m, d): row p is sum over q entering H_i^p
-
-    def mix(j):
-        U[j] = np.einsum("nq,nqd->nd", Th0q, Fst[j])
-        if strato:
-            V[j] = np.einsum("npq,nqd->npd", Th_off, Fst[j])
-        else:
-            V[j] = np.einsum("npq,nqd->npd", Thpq, Fst[j])
 
     def drift_value(i):
         acc = xb.copy()
@@ -179,7 +196,7 @@ def _stage_terms(problem, t, xb, h, theta, Theta):
                 Fst[i] = np.stack(
                     [problem.eval_field(p, H[:, p - 1, :]) for p in range(1, m + 1)], axis=1
                 )
-                mix(i)
+                U[i], V[i] = _mix(coefficients, Fst[i], strato)
         return F0, Fst
 
     # implicit: fixed-point iteration on the full stage vector
@@ -194,7 +211,7 @@ def _stage_terms(problem, t, xb, h, theta, Theta):
             Fst[j] = np.stack(
                 [problem.eval_field(p, Hs[j][:, p - 1, :]) for p in range(1, m + 1)], axis=1
             )
-            mix(j)
+            U[j], V[j] = _mix(coefficients, Fst[j], strato)
         H0_new = np.stack([drift_value(i) for i in range(s1)])
         Hs_new = np.stack([stoch_values(i) for i in range(s2)])
         delta = 0.0
@@ -211,8 +228,8 @@ def _stage_terms(problem, t, xb, h, theta, Theta):
     )
 
 
-def _apply_step(problem, t, xb, h, theta, Theta):
-    F0, Fst = _stage_terms(problem, t, xb, h, theta, Theta)
+def _apply_step(problem, t, xb, h, theta, coefficients):
+    F0, Fst = _stage_terms(problem, t, xb, h, coefficients)
     out = xb.copy()
     for i in range(t.s1):
         if t.alpha[i] != 0.0:
@@ -241,12 +258,23 @@ def _check_step_args(problem: SdeProblem, t: MethodTableau, h: float, draw: Opti
             )
 
 
+def _dense_coefficients(Theta: np.ndarray):
+    """The five coefficient arrays of :func:`randvars.mixing_coefficients`,
+    sliced from dense Theta of shape (n, m+1, m+1)."""
+    m = Theta.shape[-1] - 1
+    idx = np.arange(1, m + 1)
+    diag = Theta[:, idx, idx]
+    if m == 1:
+        return Theta[:, 0, 1:], Theta[:, 1:, 0], diag, None, None
+    return Theta[:, 0, 1:], Theta[:, 1:, 0], diag, Theta[:, 1, 1:], Theta[:, m, 1:]
+
+
 def step(problem: SdeProblem, t: MethodTableau, x, h: float, draw: NoiseDraw) -> np.ndarray:
     """One method step from state ``x`` using the given per-step draw."""
     _check_step_args(problem, t, h, draw)
     x = np.asarray(x, dtype=float)
     xb = x.reshape(1, problem.d)
-    out = _apply_step(problem, t, xb, h, draw.theta[None, :], draw.Theta[None, :, :])
+    out = _apply_step(problem, t, xb, h, draw.theta[None, :], _dense_coefficients(draw.Theta[None]))
     if not np.all(np.isfinite(out)):
         raise NonFiniteStateError(
             f"non-finite state after one {t.name} step (h={h})", h=h, method=t.name
@@ -293,8 +321,11 @@ def integrate_paths(
     """Vectorized batch of independent paths sharing one generator stream.
 
     The random variables are pre-drawn path-major (path 0 consumes its whole
-    per-step sequence first, then path 1, ...), so a batch is bit-identical to
-    stepping the paths one after another with the same generator.
+    per-step sequence first, then path 1, ...), so a batch reproduces
+    :func:`integrate_path` run path after path on the same generator.  For
+    explicit methods it does so bit for bit.  For implicit methods it agrees
+    to within 1e-12 relative: the fixed-point sweeps and their stopping test
+    are shared across the batch, so a path may take more sweeps than alone.
     """
     _check_step_args(problem, t, h, None)
     family = family or family_for_method(t)
@@ -303,8 +334,10 @@ def integrate_paths(
     u = rng.random((n_paths, n_steps, k))
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, problem.d)).copy()
     for s in range(n_steps):
-        theta, Theta = randvars.draws_from_uniforms(family, m, u[:, s, :])
-        x = _apply_step(problem, t, x, h, theta, Theta)
+        theta, eta = randvars.draws_from_uniforms(family, m, u[:, s, :])
+        coefficients = randvars.mixing_coefficients(family, theta, eta)
+        del eta  # the stages need only theta and the coefficients
+        x = _apply_step(problem, t, x, h, theta, coefficients)
         if not np.all(np.isfinite(x)):
             bad = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
             raise NonFiniteStateError(
@@ -409,7 +442,8 @@ def langevin_chain(
         todo = min(block, n_steps - done)
         u = rng.random((n_chains, todo, k))
         for s in range(todo):
-            theta, Theta = randvars.draws_from_uniforms(family, m, u[:, s, :])
+            theta, eta = randvars.draws_from_uniforms(family, m, u[:, s, :])
+            Theta = randvars.dense_theta(family, theta, eta)
             draw = NoiseDraw(m=m, calculus=ITO, theta=theta, Theta=Theta)
             state = langevin_postprocessed_step(F, D, state, h, draw)
             if observer is not None:

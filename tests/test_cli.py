@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 
 import pytest
 
@@ -66,6 +67,19 @@ def test_converge_writes_csv(tmp_path, capsys):
     assert text.splitlines()[0] == "method,problem,h,estimate,stderr,exact,abs_error,effort"
     assert "BDK2" in text
     assert "observed order" in capsys.readouterr().out
+
+
+def test_converge_prints_fit_range_and_local_orders(capsys):
+    args = ["converge", "det_exponential", "BDK2", "--h", "0.5,0.25,0.125", "--batches", "2", "--paths", "1"]
+    assert main(args + ["--json"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "least squares over h = 0.5 ... 0.125, 3 step sizes" in lines[0]
+    assert "local_order" not in lines[1]
+    for coarse, fine, line in zip(records[:-1], records[1:], lines[2:], strict=True):
+        local = math.log2(coarse["abs_error"] / fine["abs_error"]) / math.log2(coarse["h"] / fine["h"])
+        assert line.endswith(f"local_order={local:.3f}")
 
 
 def test_effort_output(capsys):

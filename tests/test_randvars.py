@@ -12,8 +12,10 @@ from srkweak.randvars import (
     CapacityError,
     FamilyError,
     RvFamily,
+    dense_theta,
     draws_from_uniforms,
     enumerate_atoms,
+    mixing_coefficients,
     moment,
     sample_draw,
 )
@@ -178,7 +180,8 @@ def test_empirical_moments_match_exact():
     n = 1_000_000
     rng = np.random.default_rng(99)
     u = rng.random((n, f.uniforms_per_step(m)))
-    theta, Theta = draws_from_uniforms(f, m, u)
+    theta, eta = draws_from_uniforms(f, m, u)
+    Theta = dense_theta(f, theta, eta)
     checks = [
         (theta[:, 1] ** 2, [(("theta", 1), 2)]),
         (theta[:, 1] ** 4, [(("theta", 1), 4)]),
@@ -208,3 +211,89 @@ def test_half_variant_entries():
     d = sample_draw(fam(ITO, 0.5), 2, rng)
     assert np.allclose(d.Theta[0, 1:], d.theta[1:])
     assert np.allclose(d.Theta[1:, 0], 1.0)
+
+
+FAMILIES = [(cal, c) for cal in (ITO, STRATONOVICH) for c in (0.5, 0.25, 1.0 / 3.0)]
+
+
+def _assemble_reference(family, m, eta, theta_raw):
+    """Theta entry by entry from the closed forms of the module docstring."""
+    batch = eta.shape[:-1]
+    Theta = np.zeros(batch + (m + 1, m + 1))
+    Theta[..., 0, 0] = 1.0
+    if family.half_variant:
+        Theta[..., 0, 1:] = theta_raw
+        Theta[..., 1:, 0] = 1.0
+    else:
+        c = family.c
+        a = math.sqrt(1.0 / (2.0 * c) - 1.0)
+        b = math.sqrt(2.0 * c / (1.0 - 2.0 * c))
+        Theta[..., 0, 1:] = theta_raw + a * eta[..., 1:]
+        Theta[..., 1:, 0] = 1.0 - b * eta[..., 1:] * theta_raw
+    diag = -3.0 * theta_raw + theta_raw**3 if family.calculus == ITO else theta_raw
+    for p in range(1, m + 1):
+        Theta[..., p, p] = diag[..., p - 1]
+        for q in range(1, m + 1):
+            if q > p:
+                Theta[..., p, q] = theta_raw[..., q - 1] * (1.0 + eta[..., 0])
+            elif q < p:
+                Theta[..., p, q] = theta_raw[..., q - 1] * (1.0 - eta[..., 0])
+    return Theta
+
+
+@pytest.mark.parametrize("calculus,c", FAMILIES)
+@pytest.mark.parametrize("m", [1, 2, 3, 10])
+def test_dense_theta_matches_entrywise_reference(calculus, c, m):
+    f = fam(calculus, c)
+    u = np.random.default_rng(m).random((500, f.rv_count(m)))
+    theta, eta = draws_from_uniforms(f, m, u)
+    assert theta.shape == eta.shape == (500, m + 1)
+    assert np.all(theta[:, 0] == 1.0)
+    Theta = dense_theta(f, theta, eta)
+    assert np.array_equal(Theta, _assemble_reference(f, m, eta, theta[:, 1:]))
+
+
+@pytest.mark.parametrize("calculus", [ITO, STRATONOVICH])
+def test_uniform_thresholds_match_searchsorted(calculus):
+    f = fam(calculus, 0.25)
+    support, probs = f.theta_support
+    edges = np.cumsum(probs)[:-1]
+    m = 2
+    u = np.random.default_rng(7).random((1000, f.rv_count(m)))
+    # uniforms exactly on a threshold take the upper value
+    u[: len(edges), 1] = edges
+    u[0, 0] = u[0, 3] = 0.5
+    theta, eta = draws_from_uniforms(f, m, u)
+    expected = np.array(support)[np.searchsorted(edges, u[:, 1 : 1 + m], side="right")]
+    assert np.array_equal(theta[:, 1:], expected)
+    assert np.array_equal(eta[:, 0], np.where(u[:, 0] < 0.5, 1.0, -1.0))
+    assert np.array_equal(eta[:, 1:], np.where(u[:, 1 + m :] < 0.5, 1.0, -1.0))
+    assert eta[0, 0] == eta[0, 1] == -1.0
+
+
+def test_diagonal_tables_are_exact():
+    for calculus in (ITO, STRATONOVICH):
+        f = fam(calculus, 0.5)
+        support, _ = f.theta_support
+        theta = np.array([[1.0, s] for s in support])
+        diag = mixing_coefficients(f, theta, np.ones_like(theta))[2][:, 0]
+        for s, value in zip(support, diag):
+            assert value == (-3.0 * s + s**3 if calculus == ITO else s)
+
+
+@pytest.mark.parametrize("calculus,c", FAMILIES)
+def test_atoms_are_dense_theta_of_their_generators(calculus, c):
+    f = fam(calculus, c)
+    support, probs = f.theta_support
+    for m in (1, 2, 3):
+        atoms = enumerate_atoms(f, m).atoms
+        outcomes = itertools.product(
+            itertools.product((1.0, -1.0), repeat=m + 1),
+            itertools.product(range(len(support)), repeat=m),
+        )
+        for (prob, draw), (etas, idx) in zip(atoms, outcomes, strict=True):
+            assert prob == 0.5 ** (m + 1) * math.prod(probs[i] for i in idx)
+            theta = np.array((1.0,) + tuple(support[i] for i in idx))
+            assert np.array_equal(draw.theta, theta)
+            assert np.array_equal(draw.Theta, dense_theta(f, theta, np.array(etas)))
+            assert not draw.theta.flags.writeable and not draw.Theta.flags.writeable

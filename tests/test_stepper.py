@@ -6,8 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from srkweak.randvars import ITO, STRATONOVICH, NoiseDraw, RvFamily, sample_draw
+from srkweak.randvars import (
+    ITO,
+    STRATONOVICH,
+    NoiseDraw,
+    RvFamily,
+    dense_theta,
+    draws_from_uniforms,
+    mixing_coefficients,
+    sample_draw,
+)
 from srkweak.stepper import (
+    _dense_coefficients,
+    _mix,
     ImplicitSolveError,
     LangevinState,
     NonFiniteStateError,
@@ -337,3 +348,63 @@ def test_langevin_x_chain_variance_matches_closed_form():
     xbar_all = np.concatenate(xbars, axis=0)[:, 0]
     var_xbar = float(np.mean(xbar_all**2))
     assert var_xbar == pytest.approx(1.0, abs=0.02)
+
+
+# ---------------------------------------------------------------------------
+# structured stage mixing
+
+MIX_FAMILIES = [(cal, c) for cal in (ITO, STRATONOVICH) for c in (0.5, 0.25, 1.0 / 3.0)]
+
+
+@pytest.mark.parametrize("calculus,c", MIX_FAMILIES)
+@pytest.mark.parametrize("m", [2, 3, 10])
+def test_structured_mixing_matches_dense_einsum(calculus, c, m):
+    fam = RvFamily.make(calculus, c)
+    rng = np.random.default_rng(m)
+    n, d = 200, 2
+    theta, eta = draws_from_uniforms(fam, m, rng.random((n, fam.rv_count(m))))
+    F = rng.standard_normal((n, m, d))
+    strato = calculus == STRATONOVICH
+    U, V = _mix(mixing_coefficients(fam, theta, eta), F, strato)
+    Theta = dense_theta(fam, theta, eta)
+    Thpq = Theta[:, 1:, 1:].copy()
+    if strato:
+        Thpq[:, np.arange(m), np.arange(m)] = 0.0
+    # rounding bound: 1e-14 of the summed magnitudes of the terms
+    for got, subscripts, coef in [(U, "nq,nqd->nd", Theta[:, 0, 1:]), (V, "npq,nqd->npd", Thpq)]:
+        want = np.einsum(subscripts, coef, F)
+        scale = np.einsum(subscripts, np.abs(coef), np.abs(F))
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("calculus,c", MIX_FAMILIES)
+@pytest.mark.parametrize("m", [1, 2, 3, 10])
+def test_dense_slice_coefficients_equal_mixing_coefficients(calculus, c, m):
+    # step() reads the coefficients from a draw's dense Theta; batch ==
+    # sequential needs them bit for bit equal to the batched ones
+    fam = RvFamily.make(calculus, c)
+    theta, eta = draws_from_uniforms(fam, m, np.random.default_rng(m).random((300, fam.rv_count(m))))
+    *sliced, up, low = _dense_coefficients(dense_theta(fam, theta, eta))
+    *direct, up_direct, low_direct = mixing_coefficients(fam, theta, eta)
+    for a, b in zip(sliced, direct, strict=True):
+        assert np.array_equal(a, b)
+    if m == 1:
+        assert up is low is up_direct is low_direct is None
+    else:
+        # _mix reads up_q only for q >= 2 and low_q only for q <= m - 1
+        assert np.array_equal(up[:, 1:], up_direct[:, 1:])
+        assert np.array_equal(low[:, :-1], low_direct[:, :-1])
+
+
+@pytest.mark.parametrize("name", ["BDK2", "BDK3", "StratoExplicit24"])
+def test_batch_matches_sequential_with_mixed_noises(name):
+    t = registry_get(name)
+    m = 3
+    fields = [lambda x: -0.4 * x] + [
+        (lambda k: lambda x: (0.2 + 0.1 * k) * np.sin(x) + 0.1)(k) for k in range(m)
+    ]
+    prob = SdeProblem(1, m, t.calculus, fields)
+    xb = integrate_paths(prob, t, np.array([0.5]), 0.125, 6, 4, np.random.default_rng(21))
+    rng = np.random.default_rng(21)
+    xs = np.stack([integrate_path(prob, t, np.array([0.5]), 0.125, 6, rng) for _ in range(4)])
+    assert np.array_equal(xb, xs)
