@@ -109,7 +109,7 @@ def _cmd_forests(args) -> int:
         for row in conditions.condition_table():
             print(
                 f"{row.id:<5} {row.forest.text:<16} {str(row.target_ito):>6} "
-                f"{str(row.target_strat):>6}  {forests.elementary_differential_string(row.forest)}"
+                f"{str(row.target_strat):>6}  {row.description}"
             )
         return 0
     e_ito = forests.exact_flow_coefficients(ITO, min(args.max_order, 2))

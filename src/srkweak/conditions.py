@@ -5,10 +5,13 @@ Two independent routes are provided:
 * :func:`check_all_table` evaluates the full order-two condition table (34
   exotic rows plus 9 single-class decorated rows) by the generic forest rule:
   each row's left-hand side comes from :func:`srkweak.forests.rk_coefficient_map`
-  with exact atom-table expectations, and each row's target column is
-  regenerated from the exact-flow coefficients of the matching generator
-  (Grossman-Larson exponential, with the decorated rows reduced to exotic
-  refinements).  Nothing here is a hand-written contraction formula.
+  as an exact atom-table expectation (one weighted sum over the table's
+  arrays) times the stage sum, contracted bottom-up over the forest with one
+  matrix-vector product per edge.  Each row's target column is regenerated
+  from the exact-flow coefficients of the matching generator (Grossman-Larson
+  exponential, with the decorated rows reduced to exotic refinements); the
+  targets and the row description are computed once, in
+  :func:`condition_table`.  Nothing here is a hand-written contraction formula.
 
 * :func:`check_reduced` evaluates the small algebraic condition systems that
   the structured ansatz admits: 9 conditions for Ito (plus one more when
@@ -89,11 +92,31 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class TableRow:
+    """One condition row; ``description`` and the float targets are fixed per row."""
+
     id: str
     forest: DecoratedForest
     target_ito: Fraction
     target_strat: Fraction
     kind: str  # "exotic" | "decorated"
+    description: str
+    float_ito: float
+    float_strat: float
+
+    @classmethod
+    def make(cls, id: str, forest: DecoratedForest, kind: str) -> "TableRow":
+        target_ito = _flow_target(forest, ITO)
+        target_strat = _flow_target(forest, STRATONOVICH)
+        return cls(
+            id=id,
+            forest=forest,
+            target_ito=target_ito,
+            target_strat=target_strat,
+            kind=kind,
+            description=forests.elementary_differential_string(forest),
+            float_ito=float(target_ito),
+            float_strat=float(target_strat),
+        )
 
 
 def _flow_target(f: DecoratedForest, calculus: str) -> Fraction:
@@ -111,29 +134,10 @@ def _flow_target(f: DecoratedForest, calculus: str) -> Fraction:
 @lru_cache(maxsize=None)
 def condition_table() -> tuple:
     """All weak-order-two condition rows with both calculus target columns."""
-    rows = []
     exotic = enumerate_forests(2, exotic_only=True)
-    for i, f in enumerate(exotic, start=1):
-        rows.append(
-            TableRow(
-                id=f"E{i:02d}",
-                forest=f,
-                target_ito=_flow_target(f, ITO),
-                target_strat=_flow_target(f, STRATONOVICH),
-                kind="exotic",
-            )
-        )
     decorated = [f for f in enumerate_forests(2) if not f.is_exotic]
-    for i, f in enumerate(decorated, start=1):
-        rows.append(
-            TableRow(
-                id=f"D{i:02d}",
-                forest=f,
-                target_ito=_flow_target(f, ITO),
-                target_strat=_flow_target(f, STRATONOVICH),
-                kind="decorated",
-            )
-        )
+    rows = [TableRow.make(f"E{i:02d}", f, "exotic") for i, f in enumerate(exotic, start=1)]
+    rows += [TableRow.make(f"D{i:02d}", f, "decorated") for i, f in enumerate(decorated, start=1)]
     return tuple(rows)
 
 
@@ -153,18 +157,18 @@ def check_all_table(
     calculus = calculus or t.calculus
     report = ConditionReport(method=t.name, calculus=calculus, kind="table")
     for row in condition_table():
-        target = row.target_ito if calculus == ITO else row.target_strat
+        target = row.float_ito if calculus == ITO else row.float_strat
         lhs = evaluate_table_condition(t, row.forest)
         rec = ConditionRecord(
             id=row.id,
-            description=forests.elementary_differential_string(row.forest),
+            description=row.description,
             lhs=lhs,
-            target=float(target),
-            satisfied=abs(lhs - float(target)) <= tolerance,
+            target=target,
+            satisfied=abs(lhs - target) <= tolerance,
             tolerance=tolerance,
-            target_ito=float(row.target_ito),
-            target_strat=float(row.target_strat),
-            superfluous=(target == 0),
+            target_ito=row.float_ito,
+            target_strat=row.float_strat,
+            superfluous=(target == 0.0),
             forest=row.forest.text,
         )
         report.records.append(rec)

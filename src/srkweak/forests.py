@@ -31,8 +31,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
+
+import numpy as np
 
 ITO = "ito"
 STRATONOVICH = "stratonovich"
@@ -186,7 +188,7 @@ class DecoratedForest:
             walk(t)
         return dict(sizes)
 
-    @property
+    @cached_property
     def order(self) -> Fraction:
         blacks = 0
         nonzero = 0
@@ -231,7 +233,7 @@ class DecoratedForest:
     def roots(self) -> tuple:
         return tuple(t[0] for t in self.trees)
 
-    @property
+    @cached_property
     def text(self) -> str:
         if not self.trees:
             return "1"
@@ -941,6 +943,47 @@ def moebius(fine: DecoratedForest, coarse: DecoratedForest) -> int:
 # Runge-Kutta coefficient map and differentials
 
 
+@lru_cache(maxsize=1024)
+def _contraction_plan(f: DecoratedForest, noise_labels: tuple | None):
+    """The tableau-independent part of :func:`rk_coefficient_map` for one forest.
+
+    Returns ``(m, monomial, roots, post_order)``: the noise count, the moment
+    monomial, the roots as ``(node, stochastic)`` and every node as
+    ``(node, stochastic, children)`` in post-order (children before parents),
+    where ``children`` holds ``(child, block)`` pairs naming the coefficient
+    block of the edge: ``"A0"``, ``"B0"``, ``"A1"``, ``"B1"`` or ``"B1_diag"``
+    (a stochastic edge within one noise class, Bhat1 in Stratonovich calculus).
+    """
+    nodes, edges, dec = f.graph()
+    classes = sorted({d for d in dec.values() if d > 0})
+    if noise_labels is None:
+        noise_labels = tuple(range(1, len(classes) + 1))
+    if len(noise_labels) != len(classes):
+        raise ValueError("need one noise label per decoration class")
+    label = {0: 0}
+    label.update(dict(zip(classes, noise_labels)))
+    m = max((1,) + noise_labels)
+
+    parent = {c: p for c, p in edges}
+    roots = [v for v in nodes if v not in parent]
+    monomial = [(("theta", label[dec[r]]), 1) for r in roots if label[dec[r]] != 0]
+    children = {v: [] for v in nodes}
+    for child, par in edges:
+        p, q = label[dec[par]], label[dec[child]]
+        if (p, q) != (0, 0):
+            monomial.append((("Theta", p, q), 1))
+        if p == 0:
+            block = "A0" if q == 0 else "B0"
+        elif q == 0:
+            block = "A1"
+        else:
+            block = "B1_diag" if p == q else "B1"
+        children[par].append((child, block))
+    # graph() numbers every node after its parent
+    post_order = tuple((v, dec[v] != 0, tuple(children[v])) for v in reversed(nodes))
+    return m, tuple(monomial), tuple((r, dec[r] != 0) for r in roots), post_order
+
+
 def rk_coefficient_map(tableau, f: DecoratedForest, noise_labels: Sequence[int] | None = None) -> float:
     """Coefficient of a method tableau on a decorated forest.
 
@@ -952,72 +995,40 @@ def rk_coefficient_map(tableau, f: DecoratedForest, noise_labels: Sequence[int] 
     and the expectation is evaluated exactly over the family's atom table.
     The stage contraction and the moment factor separate because the
     coefficient blocks are deterministic.
+
+    The stage sum is contracted bottom-up: each node's weight vector is the
+    elementwise product over its children c of ``M_c @ w_c`` (all ones at a
+    leaf), and the sum is the product over roots of ``alpha @ w`` or
+    ``beta @ w``.
     """
     from . import randvars
 
-    nodes, edges, dec = f.graph()
-    if not nodes:
+    if not f.trees:
         return 1.0
-    classes = sorted({d for d in dec.values() if d > 0})
-    if noise_labels is None:
-        noise_labels = tuple(range(1, len(classes) + 1))
-    if len(noise_labels) != len(classes):
-        raise ValueError("need one noise label per decoration class")
-    label = {0: 0}
-    label.update(dict(zip(classes, noise_labels)))
-    m = max([1] + list(noise_labels))
-
+    if noise_labels is not None:
+        noise_labels = tuple(noise_labels)
+    m, monomial, roots, post_order = _contraction_plan(f, noise_labels)
     family = randvars.RvFamily.make(tableau.calculus, tableau.c)
-    # moment monomial
-    parent = {c: p for c, p in edges}
-    roots = [v for v in nodes if v not in parent]
-    monomial = []
-    for r in roots:
-        if label[dec[r]] != 0:
-            monomial.append((("theta", label[dec[r]]), 1))
-    for child, par in edges:
-        p, q = label[dec[par]], label[dec[child]]
-        if (p, q) != (0, 0):
-            monomial.append((("Theta", p, q), 1))
     weight = randvars.moment(family, m, monomial)
     if weight == 0.0:
         return 0.0
 
-    strato = tableau.calculus == STRATONOVICH
-    blocks = []
-    for child, par in edges:
-        p, q = label[dec[par]], label[dec[child]]
-        if p == 0 and q == 0:
-            M = tableau.A0
-        elif p == 0:
-            M = tableau.B0
-        elif q == 0:
-            M = tableau.A1
-        elif strato and p == q:
-            M = tableau.Bhat1
-        else:
-            M = tableau.B1
-        blocks.append((par, child, M))
-
-    order = sorted(nodes)
-    ranges = [tableau.s1 if dec[v] == 0 else tableau.s2 for v in order]
-    pos = {v: i for i, v in enumerate(order)}
-    root_vecs = [(pos[r], tableau.alpha if dec[r] == 0 else tableau.beta) for r in roots]
-    edge_mats = [(pos[par], pos[child], M) for par, child, M in blocks]
-
-    total = 0.0
-    for assign in itertools.product(*[range(r) for r in ranges]):
-        prod = 1.0
-        for i, vec in root_vecs:
-            prod *= vec[assign[i]]
-            if prod == 0.0:
-                break
-        else:
-            for ip, ic, M in edge_mats:
-                prod *= M[assign[ip], assign[ic]]
-                if prod == 0.0:
-                    break
-        total += prod
+    blocks = {
+        "A0": tableau.A0,
+        "B0": tableau.B0,
+        "A1": tableau.A1,
+        "B1": tableau.B1,
+        "B1_diag": tableau.Bhat1 if tableau.calculus == STRATONOVICH else tableau.B1,
+    }
+    w = {}
+    for v, stochastic, children in post_order:
+        vec = np.ones(tableau.s2 if stochastic else tableau.s1)
+        for c, block in children:
+            vec *= blocks[block] @ w[c]
+        w[v] = vec
+    total = 1.0
+    for r, stochastic in roots:
+        total *= (tableau.beta if stochastic else tableau.alpha) @ w[r]
     return float(total * weight)
 
 

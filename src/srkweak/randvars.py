@@ -23,7 +23,9 @@ Theta is a derived view (:func:`dense_theta`) for single-step draws, atoms,
 moments and the Langevin chain.
 
 The sample space is finite, so every moment is available exactly through
-:func:`enumerate_atoms` / :func:`moment`; the expectation checks elsewhere use
+:func:`enumerate_atoms` / :func:`moment`: an atom table holds the
+probabilities, theta and Theta of all atoms as arrays, and a moment is one
+weighted sum over their columns.  The expectation checks elsewhere use
 tolerance 1e-12 because the support points involve ``sqrt(3)`` arithmetic.
 
 Families and atom tables are immutable and shareable; :func:`sample_draw`
@@ -35,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -159,13 +162,28 @@ class NoiseDraw:
     Theta: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomTable:
-    """The full finite sample space of a family: (probability, draw) atoms."""
+    """The full finite sample space of a family, as read-only batched arrays.
+
+    Row k of ``probs`` (N,), ``theta`` (N, m+1) and ``Theta`` (N, m+1, m+1)
+    is atom k: its probability, its generators theta and its matrix Theta.
+    """
 
     m: int
     family: RvFamily
-    atoms: tuple
+    probs: np.ndarray
+    theta: np.ndarray
+    Theta: np.ndarray
+
+    @cached_property
+    def atoms(self) -> tuple:
+        """The atoms as ``(probability, NoiseDraw)`` pairs, row views of the arrays."""
+        calculus = self.family.calculus
+        return tuple(
+            (prob, NoiseDraw(self.m, calculus, theta, Theta))
+            for prob, theta, Theta in zip(self.probs.tolist(), self.theta, self.Theta)
+        )
 
 
 def _count_reached(x: np.ndarray, thresholds) -> np.ndarray:
@@ -292,32 +310,21 @@ def enumerate_atoms(family: RvFamily, m: int) -> AtomTable:
     theta = np.ones(eta.shape)
     theta[:, 1:] = np.tile(_SUPPORTS[family.calculus][np.array(indices)], (len(signs), 1))
     Theta = dense_theta(family, theta, eta)
-    theta.setflags(write=False)
-    Theta.setflags(write=False)
     theta_probs = []
     for idx in indices:
         prob = 0.5 ** (m + 1)
         for i in idx:
             prob *= probs[i]
         theta_probs.append(prob)
-    atoms = tuple(
-        (theta_probs[row % len(indices)], NoiseDraw(m, family.calculus, theta[row], Theta[row]))
-        for row in range(len(eta))
-    )
-    table = AtomTable(m=m, family=family, atoms=atoms)
+    atom_probs = np.tile(theta_probs, len(signs))
+    for array in (atom_probs, theta, Theta):
+        array.setflags(write=False)
+    table = AtomTable(m=m, family=family, probs=atom_probs, theta=theta, Theta=Theta)
     _ATOM_CACHE[key] = table
     return table
 
 
-def _factor_value(draw: NoiseDraw, factor) -> float:
-    kind = factor[0]
-    if kind == "theta":
-        (_, p) = factor
-        return float(draw.theta[p])
-    if kind == "Theta":
-        (_, p, q) = factor
-        return float(draw.Theta[p, q])
-    raise ValueError(f"unknown factor kind {factor!r}")
+_FACTOR_ARITY = {"theta": 1, "Theta": 2}
 
 
 def moment(family: RvFamily, m: int, monomial: Iterable) -> float:
@@ -325,19 +332,22 @@ def moment(family: RvFamily, m: int, monomial: Iterable) -> float:
 
     ``monomial`` is an iterable of ``(factor, exponent)`` pairs with factor
     ``("theta", p)`` or ``("Theta", p, q)``; indices must not exceed ``m``.
+    Every factor is validated before any arithmetic; the expectation is one
+    weighted sum over the columns of the atom table.
     """
     monomial = list(monomial)
     for factor, _ in monomial:
-        indices = factor[1:]
+        kind, indices = factor[0], factor[1:]
+        if _FACTOR_ARITY.get(kind) != len(indices):
+            raise ValueError(f"unknown factor {factor!r}: expected ('theta', p) or ('Theta', p, q)")
         if any(not 0 <= i <= m for i in indices):
             raise ValueError(f"factor {factor!r} references a noise index beyond m={m}")
     table = enumerate_atoms(family, m)
-    total = 0.0
-    for prob, draw in table.atoms:
-        value = prob
-        for factor, exponent in monomial:
-            value *= _factor_value(draw, factor) ** exponent
-            if value == 0.0:
-                break
-        total += value
-    return total
+    value = table.probs
+    for factor, exponent in monomial:
+        if factor[0] == "theta":
+            column = table.theta[:, factor[1]]
+        else:
+            column = table.Theta[:, factor[1], factor[2]]
+        value = value * column**exponent
+    return float(value.sum())

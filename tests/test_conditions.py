@@ -17,7 +17,7 @@ from srkweak.conditions import (
     render_report,
     report_to_json,
 )
-from srkweak.forests import parse_forest
+from srkweak.forests import elementary_differential_string, parse_forest
 from srkweak.randvars import ITO, STRATONOVICH
 from srkweak.tableau import EXPLICIT, make_tableau, registry_get, registry_names
 
@@ -143,9 +143,11 @@ def test_report_rendering_and_json():
 
 
 def test_table_row_targets_both_columns_present():
-    for rec in check_all_table(registry_get("BDK1")).records:
+    for rec, row in zip(check_all_table(registry_get("BDK1")).records, condition_table(), strict=True):
         assert not math.isnan(rec.target_ito)
         assert not math.isnan(rec.target_strat)
+        assert (rec.target_ito, rec.target_strat) == (float(row.target_ito), float(row.target_strat))
+        assert rec.description == elementary_differential_string(row.forest)
 
 
 def test_evaluate_rejects_higher_order_forest():

@@ -1,9 +1,11 @@
 """Tests for the decorated/exotic forest combinatorics."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,7 +33,9 @@ from srkweak.forests import (
     parse_forest,
     symmetry,
 )
-from srkweak.randvars import ITO, STRATONOVICH
+from srkweak.conditions import condition_table
+from srkweak.randvars import ITO, STRATONOVICH, RvFamily, moment
+from srkweak.tableau import make_tableau, registry_get, registry_names
 
 pf = parse_forest
 
@@ -426,6 +430,73 @@ def test_rk_coefficient_map_label_override():
     a = fo.rk_coefficient_map(bdk1, f, noise_labels=(1, 2))
     b = fo.rk_coefficient_map(bdk1, f, noise_labels=(2, 1))
     assert a == pytest.approx(b, abs=1e-13)
+
+
+def _rk_coefficient_reference(t, f, noise_labels=None):
+    """rk_coefficient_map by summing over every stage assignment of the nodes.
+
+    Returns the coefficient and the sum of the magnitudes of its terms.
+    """
+    nodes, edges, dec = f.graph()
+    classes = sorted({d for d in dec.values() if d > 0})
+    labels = tuple(noise_labels or range(1, len(classes) + 1))
+    label = {0: 0, **dict(zip(classes, labels))}
+    parent = dict(edges)
+    roots = [v for v in nodes if v not in parent]
+    monomial = [(("theta", label[dec[r]]), 1) for r in roots if dec[r] != 0]
+    monomial += [
+        (("Theta", label[dec[p]], label[dec[c]]), 1) for c, p in edges if (dec[p], dec[c]) != (0, 0)
+    ]
+    family = RvFamily.make(t.calculus, t.c)
+    weight = moment(family, max((1,) + labels), monomial)
+
+    def block(p, q):
+        if p == 0:
+            return t.A0 if q == 0 else t.B0
+        if q == 0:
+            return t.A1
+        return t.Bhat1 if (t.calculus == STRATONOVICH and p == q) else t.B1
+
+    terms = []
+    for assign in itertools.product(*[range(t.s2 if dec[v] else t.s1) for v in nodes]):
+        prod = weight
+        for r in roots:
+            prod *= (t.beta if dec[r] else t.alpha)[assign[r]]
+        for c, p in edges:
+            prod *= block(label[dec[p]], label[dec[c]])[assign[p], assign[c]]
+        terms.append(prod)
+    return math.fsum(terms), math.fsum(abs(x) for x in terms)
+
+
+def _weak2_variants():
+    """Each registered weak-order-2 tableau, a seeded perturbation and one with a fresh c."""
+    rng = np.random.default_rng(20261018)
+
+    def jitter(a):
+        return None if a is None else a * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, a.shape))
+
+    for name in registry_names():
+        base = registry_get(name)
+        if base.weak_order != 2:
+            continue
+        yield base
+        for c in (base.c, rng.uniform(0.05, 0.45)):
+            yield make_tableau(
+                f"{name}~{c:.4f}", base.calculus,
+                jitter(base.alpha), jitter(base.beta), jitter(base.A0), jitter(base.B0),
+                jitter(base.A1), jitter(base.B1), jitter(base.Bhat1),
+                c=c, det_order=base.det_order, weak_order=2, structure=base.structure,
+            )
+
+
+@pytest.mark.parametrize("t", list(_weak2_variants()), ids=lambda t: t.name)
+def test_rk_coefficient_map_matches_assignment_sum_on_all_rows(t):
+    for row in condition_table():
+        n_classes = len(row.forest.decoration_sizes)
+        for labels in (None, tuple(range(n_classes, 0, -1))):
+            got = fo.rk_coefficient_map(t, row.forest, noise_labels=labels)
+            expected, scale = _rk_coefficient_reference(t, row.forest, labels)
+            assert abs(got - expected) <= 1e-14 * (1.0 + scale), (row.id, labels)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -297,3 +299,74 @@ def test_atoms_are_dense_theta_of_their_generators(calculus, c):
             assert np.array_equal(draw.theta, theta)
             assert np.array_equal(draw.Theta, dense_theta(f, theta, np.array(etas)))
             assert not draw.theta.flags.writeable and not draw.Theta.flags.writeable
+
+
+@pytest.mark.parametrize("calculus,c", FAMILIES)
+def test_atom_table_arrays_are_the_rows_of_its_atoms(calculus, c):
+    for m in (1, 2, 3):
+        table = enumerate_atoms(fam(calculus, c), m)
+        assert table.probs.shape == (len(table.atoms),)
+        assert table.theta.shape == (len(table.atoms), m + 1)
+        assert table.Theta.shape == (len(table.atoms), m + 1, m + 1)
+        for array in (table.probs, table.theta, table.Theta):
+            assert not array.flags.writeable
+        for k, (prob, draw) in enumerate(table.atoms):
+            assert type(prob) is float and prob == table.probs[k]
+            assert draw.theta.tobytes() == table.theta[k].tobytes()
+            assert draw.Theta.tobytes() == table.Theta[k].tobytes()
+
+
+def _all_factors(m):
+    return [("theta", p) for p in range(m + 1)] + [
+        ("Theta", p, q) for p in range(m + 1) for q in range(m + 1)
+    ]
+
+
+@pytest.mark.parametrize("calculus,c", FAMILIES)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_moment_matches_per_atom_fsum(calculus, c, m):
+    """Every monomial of degree <= 4 against a per-atom math.fsum reference."""
+    f = fam(calculus, c)
+    factors = _all_factors(m)
+    atoms = enumerate_atoms(f, m).atoms
+    probs = np.array([prob for prob, _ in atoms])
+    # column j: factor j's value on every atom, read draw by draw
+    values = np.array(
+        [
+            [float(draw.theta[fac[1:]] if fac[0] == "theta" else draw.Theta[fac[1:]]) for fac in factors]
+            for _, draw in atoms
+        ]
+    )
+    for degree in range(5):
+        for combo in itertools.combinations_with_replacement(range(len(factors)), degree):
+            terms = probs.copy()
+            for j in combo:
+                terms *= values[:, j]
+            expected = math.fsum(terms)
+            scale = math.fsum(np.abs(terms))
+            monomial = [(factors[j], k) for j, k in sorted(Counter(combo).items())]
+            assert abs(moment(f, m, monomial) - expected) <= 1e-14 * (1.0 + scale), monomial
+
+
+@pytest.mark.parametrize("bad", [("bogus", 1), ("theta", 1, 2), ("Theta", 1)])
+def test_moment_rejects_a_malformed_factor_after_vanishing_ones(bad):
+    # E[Theta_12 Theta_21] vanishes on every atom, so a late factor is never reached
+    # by a loop that stops at the first zero product
+    vanishing = [(("Theta", 1, 2), 1), (("Theta", 2, 1), 1)]
+    with pytest.raises(ValueError, match="unknown factor"):
+        moment(fam(ITO, 0.5), 2, vanishing + [(bad, 1)])
+
+
+def test_atom_tables_of_fresh_c_stay_small():
+    """The cached table of a new c holds its arrays, not one draw object per atom."""
+    tracemalloc.start()
+    try:
+        for c in (0.0123, 0.2345, 0.3456):
+            for calculus in (ITO, STRATONOVICH):
+                for m in (1, 2):
+                    enumerate_atoms(fam(calculus, c), m)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # six (calculus, c) pairs, under 24 KiB each for m = 1 and m = 2 together
+    assert held < 6 * 24 * 1024
