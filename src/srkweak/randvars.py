@@ -20,7 +20,10 @@ A draw is carried by its generators ``(theta, eta)``, two arrays of shape
 (..., m+1) (:func:`draws_from_uniforms`).  The stepper reads the entries of
 Theta it needs per noise column from :func:`mixing_coefficients`; the dense
 Theta is a derived view (:func:`dense_theta`) for single-step draws, atoms,
-moments and the Langevin chain.
+moments and the Langevin chain.  The coefficients are noise-major rows,
+(m, ...), and batched generators are stored noise-major and returned as
+transposed (Fortran-order) views, so each noise is a contiguous row of the
+batch; the values do not depend on the storage order.
 
 The sample space is finite, so every moment is available exactly through
 :func:`enumerate_atoms` / :func:`moment`: an atom table holds the
@@ -210,28 +213,53 @@ def draws_from_uniforms(family: RvFamily, m: int, u: np.ndarray):
     per scalar random variable, so stream usage per step equals ``rv_count``.
     A sign is +1 below 1/2; theta takes the i-th support value when its
     uniform reaches exactly i of the cumulative probabilities.
+
+    Both are returned as transposes of noise-major arrays (Fortran order), so
+    ``theta.T[p]`` is a contiguous row of the batch for each noise p.
     """
     k = family.uniforms_per_step(m)
     u = np.asarray(u)
     if u.shape[-1] != k:
         raise ValueError(f"expected {k} uniforms per draw, got {u.shape[-1]}")
-    batch = u.shape[:-1]
-    theta = np.ones(batch + (m + 1,))
-    eta = np.ones(batch + (m + 1,))
+    # Each group of uniforms is copied into the rows it turns into, which
+    # are then mapped in place: the comparisons read contiguous rows, and no
+    # other copy of the uniforms is made.
+    u = u.T
+    theta = np.empty((m + 1,) + u.shape[1:])
+    eta = np.empty_like(theta)
+    theta[0] = 1.0
     col = 0
     if m > 1:
-        eta[..., 0] = np.where(u[..., col] < 0.5, 1.0, -1.0)
+        eta[0] = u[0]
+        _signs(eta[:1])
         col += 1
-    idx = _count_reached(u[..., col : col + m], _EDGES[family.calculus])
-    theta[..., 1:] = _SUPPORTS[family.calculus][idx]
+    else:
+        eta[0] = 1.0
+    theta[1:] = u[col : col + m]
+    idx = _count_reached(theta[1:], _EDGES[family.calculus])
+    # every index is in range, so "clip" changes none; it lets take write in place
+    np.take(_SUPPORTS[family.calculus], idx, out=theta[1:], mode="clip")
     col += m
-    if not family.half_variant:
-        eta[..., 1:] = np.where(u[..., col : col + m] < 0.5, 1.0, -1.0)
-    return theta, eta
+    if family.half_variant:
+        eta[1:] = 1.0
+    else:
+        eta[1:] = u[col : col + m]
+        _signs(eta[1:])
+    return theta.T, eta.T
+
+
+def _signs(x: np.ndarray) -> None:
+    """Map uniforms ``x`` in place to +1 below 1/2 and -1 elsewhere."""
+    np.less(x, 0.5, out=x)
+    x *= 2.0
+    x -= 1.0
 
 
 def mixing_coefficients(family: RvFamily, theta: np.ndarray, eta: np.ndarray):
-    """The entries of Theta that a stage combination reads, each of shape (..., m).
+    """The entries of Theta that a stage combination reads, as noise-major rows.
+
+    Each is the transpose of a (..., m) array, so it has shape (m, n) for a
+    batch of n draws and (m,) for one draw.
 
     Returns ``(row0, col0, diag, up, low)``: ``row0[q] = Theta[0][q]``,
     ``col0[q] = Theta[q][0]``, ``diag[q] = Theta[q][q]`` and, for p, q >= 1,
@@ -240,20 +268,26 @@ def mixing_coefficients(family: RvFamily, theta: np.ndarray, eta: np.ndarray):
     when m = 1, which has no mixed entries.
     """
     m = theta.shape[-1] - 1
-    th = theta[..., 1:]
+    # In place, so that no two batch-sized temporaries are alive at once.
+    th, e = theta.T[1:], eta.T
     if family.half_variant:
         row0 = th
         col0 = np.ones_like(th)
     else:
         c = family.c
-        e = eta[..., 1:]
-        row0 = th + math.sqrt(1.0 / (2.0 * c) - 1.0) * e
-        col0 = 1.0 - math.sqrt(2.0 * c / (1.0 - 2.0 * c)) * e * th
-    diag = _ITO_DIAG[_count_reached(th, _ITO_MIDPOINTS)] if family.calculus == ITO else th
+        row0 = math.sqrt(1.0 / (2.0 * c) - 1.0) * e[1:]
+        row0 += th
+        col0 = math.sqrt(2.0 * c / (1.0 - 2.0 * c)) * e[1:]
+        col0 *= th
+        np.subtract(1.0, col0, out=col0)
+    if family.calculus == ITO:
+        diag = np.empty_like(th)
+        np.take(_ITO_DIAG, _count_reached(th, _ITO_MIDPOINTS), out=diag, mode="clip")
+    else:
+        diag = th
     if m == 1:
         return row0, col0, diag, None, None
-    e0 = eta[..., :1]
-    return row0, col0, diag, th * (1.0 + e0), th * (1.0 - e0)
+    return row0, col0, diag, th * (1.0 + e[0]), th * (1.0 - e[0])
 
 
 def dense_theta(family: RvFamily, theta: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -263,7 +297,9 @@ def dense_theta(family: RvFamily, theta: np.ndarray, eta: np.ndarray) -> np.ndar
     chain; the batched stepper mixes stages from :func:`mixing_coefficients`.
     """
     m = theta.shape[-1] - 1
-    row0, col0, diag, up, low = mixing_coefficients(family, theta, eta)
+    row0, col0, diag, up, low = (
+        None if a is None else a.T for a in mixing_coefficients(family, theta, eta)
+    )
     Theta = np.zeros(theta.shape[:-1] + (m + 1, m + 1))
     Theta[..., 0, 0] = 1.0
     Theta[..., 0, 1:] = row0
@@ -306,8 +342,10 @@ def enumerate_atoms(family: RvFamily, m: int) -> AtomTable:
     # outcomes in itertools.product order: signs outer, theta indices inner
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=m + 1)))
     indices = list(itertools.product(range(len(support)), repeat=m))
-    eta = np.repeat(signs, len(indices), axis=0)
-    theta = np.ones(eta.shape)
+    # generators stored noise-major, as draws_from_uniforms stores them, so that
+    # mixing_coefficients reads contiguous rows
+    eta = np.asfortranarray(np.repeat(signs, len(indices), axis=0))
+    theta = np.ones(eta.shape, order="F")
     theta[:, 1:] = np.tile(_SUPPORTS[family.calculus][np.array(indices)], (len(signs), 1))
     Theta = dense_theta(family, theta, eta)
     theta_probs = []

@@ -26,6 +26,12 @@ dense (m+1) x (m+1) Theta: the stages read five per-noise coefficient arrays
 follows from exclusive suffix and prefix sums, in O(m) per path.
 :func:`step` slices the same coefficients from its draw's dense Theta.
 
+The batched core is noise-major: stochastic stage inputs and values have
+shape (m, n, d), theta and the coefficients (m, n), so each noise is a
+contiguous (n, d) row.  Field p reads row p - 1 and its value is stored
+into row p - 1 of the stage array; the stage combination adds whole rows in
+place as running sums.  A single step is the n = 1 case of the same kernel.
+
 States are 1-D arrays of length d; everything also runs vectorized over a
 leading batch axis (states of shape (n, d)), which the Monte Carlo harness
 uses.  ``step`` is a pure function of its arguments: identical inputs give
@@ -125,35 +131,67 @@ def _nonzero_cols(row: np.ndarray):
     return [j for j in range(row.shape[0]) if row[j] != 0.0]
 
 
-def _mix(coefficients, F, strato):
-    """Combine the stage values F = f^q(H_j^q), shape (n, m, d), with Theta.
+def _weighted_sum(w, F):
+    """sum_q w_q F_q for coefficient rows w (m, n) and stage rows F (m, n, d),
+    added in increasing q."""
+    out = w[0, :, None] * F[0]
+    if len(F) > 1:
+        term = np.empty_like(out)
+        for q in range(1, len(F)):
+            out += np.multiply(w[q, :, None], F[q], out=term)
+    return out
 
-    Returns U = sum_q Theta[0][q] F_q, shape (n, d), and V of shape (n, m, d)
+
+def _mix(coefficients, F, strato):
+    """Combine the stage values F = f^q(H_j^q), shape (m, n, d), with Theta.
+
+    Returns U = sum_q Theta[0][q] F_q, shape (n, d), and V of shape (m, n, d)
     whose row p is sum_{q >= 1} Theta[p][q] F_q; for Stratonovich the
     diagonal q = p is left out, since it enters through Bhat1.  The mixed
-    entries are theta_q (1 +- eta_0), so exclusive suffix and prefix sums
-    give every row in O(m).
+    entries are theta_q (1 +- eta_0), so running exclusive suffix and prefix
+    sums over the contiguous noise rows give every row in O(m).  They add in
+    the order of a ``cumsum`` along the noise axis.
     """
     row0, _, diag, up, low = coefficients
-    U = np.einsum("nq,nqd->nd", row0, F)
+    U = _weighted_sum(row0, F)
     V = np.zeros_like(F) if strato else diag[:, :, None] * F
     if up is not None:
-        G = up[:, 1:, None] * F[:, 1:]
-        np.cumsum(G[:, ::-1], axis=1, out=G[:, ::-1])
-        V[:, :-1] += G                 # row p gets sum_{q > p}
-        np.multiply(low[:, :-1, None], F[:, :-1], out=G)
-        np.cumsum(G, axis=1, out=G)
-        V[:, 1:] += G                  # row p gets sum_{q < p}
+        m = len(F)
+        acc, term = np.empty_like(U), np.empty_like(U)
+        np.multiply(up[m - 1, :, None], F[m - 1], out=acc)
+        for p in range(m - 2, -1, -1):  # row p gets sum_{q > p} up_q F_q
+            V[p] += acc
+            if p:
+                acc += np.multiply(up[p, :, None], F[p], out=term)
+        np.multiply(low[0, :, None], F[0], out=acc)
+        for p in range(1, m):  # row p gets sum_{q < p} low_q F_q
+            V[p] += acc
+            if p < m - 1:
+                acc += np.multiply(low[p, :, None], F[p], out=term)
     return U, V
+
+
+def _diffusion_values(problem, H):
+    """f^p at the stage inputs H (m, n, d), row p - 1 each, shape (m, n, d)."""
+    F = np.empty_like(H)
+    for p in range(len(H)):
+        F[p] = problem.eval_field(p + 1, H[p])
+    return F
+
+
+def _max_change(new, old):
+    """max |new - old| over stages stacked along axis 0, taken stage by stage
+    so that each temporary is one stage large."""
+    return float(np.max([np.max(np.abs(a - b)) for a, b in zip(new, old)]))
 
 
 def _stage_terms(problem, t, xb, h, coefficients):
     """Evaluate all stage field values; returns (F0 list, Fst list).
 
-    ``coefficients`` are the five (n, m) arrays of
+    ``coefficients`` are the five noise-major (m, n) coefficient rows of
     :func:`randvars.mixing_coefficients`.  F0[i] is f^0 at drift stage i,
-    shape (n, d); Fst[j] stacks f^q at stochastic stage j over q, shape
-    (n, m, d).
+    shape (n, d); Fst[j] holds f^q at stochastic stage j in row q - 1,
+    shape (m, n, d).
     """
     s1, s2, m = t.s1, t.s2, problem.m
     sqh = math.sqrt(h)
@@ -163,62 +201,62 @@ def _stage_terms(problem, t, xb, h, coefficients):
     F0 = [None] * s1
     Fst = [None] * s2
     U = [None] * s2                    # sum_q Theta[0][q] f^q(H_j^q), (n, d)
-    V = [None] * s2                    # (n, m, d): row p is sum over q entering H_i^p
+    V = [None] * s2                    # (m, n, d): row p is sum over q entering H_i^p
 
-    def drift_value(i):
-        acc = xb.copy()
+    def drift_value(i, acc):
+        acc[...] = xb
         for j in _nonzero_cols(t.A0[i]):
             acc += (h * t.A0[i, j]) * F0[j]
         for j in _nonzero_cols(t.B0[i]):
             acc += (sqh * t.B0[i, j]) * U[j]
         return acc
 
-    def stoch_values(i):
-        acc = np.broadcast_to(xb[:, None, :], (xb.shape[0], m, xb.shape[1])).copy()
+    def stoch_values(i, acc):
+        acc[...] = xb
+        term = np.empty_like(acc)  # scratch for one term at a time
         cols = _nonzero_cols(t.A1[i])
         if cols:
             da = sum(t.A1[i, j] * F0[j] for j in cols)
-            acc += h * Thp0[:, :, None] * da[:, None, :]
+            acc += np.multiply(h * Thp0[:, :, None], da, out=term)
         for j in _nonzero_cols(t.B1[i]):
-            acc += (sqh * t.B1[i, j]) * V[j]
+            acc += np.multiply(sqh * t.B1[i, j], V[j], out=term)
         if strato:
             for j in _nonzero_cols(t.Bhat1[i]):
-                acc += (sqh * t.Bhat1[i, j]) * (Th_diag[:, :, None] * Fst[j])
+                np.multiply(Th_diag[:, :, None], Fst[j], out=term)
+                acc += np.multiply(sqh * t.Bhat1[i, j], term, out=term)
         return acc
 
     order = stage_evaluation_order(t)
     if order is not None:
         for kind, i in order:
             if kind == "drift":
-                F0[i] = problem.eval_field(0, drift_value(i))
+                F0[i] = problem.eval_field(0, drift_value(i, np.empty_like(xb)))
             else:
-                H = stoch_values(i)
-                Fst[i] = np.stack(
-                    [problem.eval_field(p, H[:, p - 1, :]) for p in range(1, m + 1)], axis=1
-                )
+                Fst[i] = _diffusion_values(problem, stoch_values(i, np.empty((m,) + xb.shape)))
                 U[i], V[i] = _mix(coefficients, Fst[i], strato)
         return F0, Fst
 
     # implicit: fixed-point iteration on the full stage vector
     n, d = xb.shape
     H0 = np.broadcast_to(xb, (s1, n, d)).copy()
-    Hs = np.broadcast_to(xb[:, None, :], (s2, n, m, d)).copy()
+    Hs = np.broadcast_to(xb, (s2, m, n, d)).copy()
     tol = FIXED_POINT_TOL * (1.0 + float(np.max(np.abs(xb))))
     for _ in range(FIXED_POINT_MAXITER):
         for i in range(s1):
             F0[i] = problem.eval_field(0, H0[i])
         for j in range(s2):
-            Fst[j] = np.stack(
-                [problem.eval_field(p, Hs[j][:, p - 1, :]) for p in range(1, m + 1)], axis=1
-            )
+            Fst[j] = _diffusion_values(problem, Hs[j])
             U[j], V[j] = _mix(coefficients, Fst[j], strato)
-        H0_new = np.stack([drift_value(i) for i in range(s1)])
-        Hs_new = np.stack([stoch_values(i) for i in range(s2)])
+        H0_new, Hs_new = np.empty_like(H0), np.empty_like(Hs)
+        for i in range(s1):
+            drift_value(i, H0_new[i])
+        for i in range(s2):
+            stoch_values(i, Hs_new[i])
         delta = 0.0
         if H0_new.size:
-            delta = max(delta, float(np.max(np.abs(H0_new - H0))))
+            delta = max(delta, _max_change(H0_new, H0))
         if Hs_new.size:
-            delta = max(delta, float(np.max(np.abs(Hs_new - Hs))))
+            delta = max(delta, _max_change(Hs_new, Hs))
         H0, Hs = H0_new, Hs_new
         if delta <= tol:
             return F0, Fst
@@ -228,17 +266,18 @@ def _stage_terms(problem, t, xb, h, coefficients):
     )
 
 
-def _apply_step(problem, t, xb, h, theta, coefficients):
+def _apply_step(problem, t, xb, h, th, coefficients):
+    """One step of the batch ``xb`` (n, d); ``th`` holds theta_1..theta_m as
+    noise-major rows (m, n)."""
     F0, Fst = _stage_terms(problem, t, xb, h, coefficients)
     out = xb.copy()
     for i in range(t.s1):
         if t.alpha[i] != 0.0:
             out += (h * t.alpha[i]) * F0[i]
     sqh = math.sqrt(h)
-    th = theta[:, 1:]
     for j in range(t.s2):
         if t.beta[j] != 0.0:
-            out += (sqh * t.beta[j]) * np.einsum("np,npd->nd", th, Fst[j])
+            out += (sqh * t.beta[j]) * _weighted_sum(th, Fst[j])
     return out
 
 
@@ -259,14 +298,14 @@ def _check_step_args(problem: SdeProblem, t: MethodTableau, h: float, draw: Opti
 
 
 def _dense_coefficients(Theta: np.ndarray):
-    """The five coefficient arrays of :func:`randvars.mixing_coefficients`,
-    sliced from dense Theta of shape (n, m+1, m+1)."""
+    """The five coefficient rows of :func:`randvars.mixing_coefficients`,
+    sliced noise-major (m, n) from dense Theta of shape (n, m+1, m+1)."""
     m = Theta.shape[-1] - 1
     idx = np.arange(1, m + 1)
-    diag = Theta[:, idx, idx]
+    diag = Theta[:, idx, idx].T
     if m == 1:
-        return Theta[:, 0, 1:], Theta[:, 1:, 0], diag, None, None
-    return Theta[:, 0, 1:], Theta[:, 1:, 0], diag, Theta[:, 1, 1:], Theta[:, m, 1:]
+        return Theta[:, 0, 1:].T, Theta[:, 1:, 0].T, diag, None, None
+    return Theta[:, 0, 1:].T, Theta[:, 1:, 0].T, diag, Theta[:, 1, 1:].T, Theta[:, m, 1:].T
 
 
 def step(problem: SdeProblem, t: MethodTableau, x, h: float, draw: NoiseDraw) -> np.ndarray:
@@ -274,7 +313,8 @@ def step(problem: SdeProblem, t: MethodTableau, x, h: float, draw: NoiseDraw) ->
     _check_step_args(problem, t, h, draw)
     x = np.asarray(x, dtype=float)
     xb = x.reshape(1, problem.d)
-    out = _apply_step(problem, t, xb, h, draw.theta[None, :], _dense_coefficients(draw.Theta[None]))
+    th = draw.theta[1:, None]
+    out = _apply_step(problem, t, xb, h, th, _dense_coefficients(draw.Theta[None]))
     if not np.all(np.isfinite(out)):
         raise NonFiniteStateError(
             f"non-finite state after one {t.name} step (h={h})", h=h, method=t.name
@@ -337,7 +377,7 @@ def integrate_paths(
         theta, eta = randvars.draws_from_uniforms(family, m, u[:, s, :])
         coefficients = randvars.mixing_coefficients(family, theta, eta)
         del eta  # the stages need only theta and the coefficients
-        x = _apply_step(problem, t, x, h, theta, coefficients)
+        x = _apply_step(problem, t, x, h, theta.T[1:], coefficients)
         if not np.all(np.isfinite(x)):
             bad = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
             raise NonFiniteStateError(

@@ -278,7 +278,7 @@ def test_diagonal_tables_are_exact():
         f = fam(calculus, 0.5)
         support, _ = f.theta_support
         theta = np.array([[1.0, s] for s in support])
-        diag = mixing_coefficients(f, theta, np.ones_like(theta))[2][:, 0]
+        diag = mixing_coefficients(f, theta, np.ones_like(theta))[2][0]
         for s, value in zip(support, diag):
             assert value == (-3.0 * s + s**3 if calculus == ITO else s)
 
@@ -370,3 +370,4 @@ def test_atom_tables_of_fresh_c_stay_small():
         tracemalloc.stop()
     # six (calculus, c) pairs, under 24 KiB each for m = 1 and m = 2 together
     assert held < 6 * 24 * 1024
+

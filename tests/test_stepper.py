@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from srkweak.harness import invariant_setup, make_problem
 from srkweak.randvars import (
     ITO,
     STRATONOVICH,
@@ -363,7 +364,7 @@ def test_structured_mixing_matches_dense_einsum(calculus, c, m):
     rng = np.random.default_rng(m)
     n, d = 200, 2
     theta, eta = draws_from_uniforms(fam, m, rng.random((n, fam.rv_count(m))))
-    F = rng.standard_normal((n, m, d))
+    F = rng.standard_normal((m, n, d))
     strato = calculus == STRATONOVICH
     U, V = _mix(mixing_coefficients(fam, theta, eta), F, strato)
     Theta = dense_theta(fam, theta, eta)
@@ -371,7 +372,7 @@ def test_structured_mixing_matches_dense_einsum(calculus, c, m):
     if strato:
         Thpq[:, np.arange(m), np.arange(m)] = 0.0
     # rounding bound: 1e-14 of the summed magnitudes of the terms
-    for got, subscripts, coef in [(U, "nq,nqd->nd", Theta[:, 0, 1:]), (V, "npq,nqd->npd", Thpq)]:
+    for got, subscripts, coef in [(U, "nq,qnd->nd", Theta[:, 0, 1:]), (V, "npq,qnd->pnd", Thpq)]:
         want = np.einsum(subscripts, coef, F)
         scale = np.einsum(subscripts, np.abs(coef), np.abs(F))
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
@@ -387,24 +388,69 @@ def test_dense_slice_coefficients_equal_mixing_coefficients(calculus, c, m):
     *sliced, up, low = _dense_coefficients(dense_theta(fam, theta, eta))
     *direct, up_direct, low_direct = mixing_coefficients(fam, theta, eta)
     for a, b in zip(sliced, direct, strict=True):
+        assert a.shape == (m, 300)
         assert np.array_equal(a, b)
     if m == 1:
         assert up is low is up_direct is low_direct is None
     else:
         # _mix reads up_q only for q >= 2 and low_q only for q <= m - 1
-        assert np.array_equal(up[:, 1:], up_direct[:, 1:])
-        assert np.array_equal(low[:, :-1], low_direct[:, :-1])
+        assert np.array_equal(up[1:], up_direct[1:])
+        assert np.array_equal(low[:-1], low_direct[:-1])
 
 
-@pytest.mark.parametrize("name", ["BDK2", "BDK3", "StratoExplicit24"])
+@pytest.mark.parametrize("calculus,c", MIX_FAMILIES)
+def test_batched_generators_and_coefficients_are_noise_major(calculus, c):
+    # the stepper reads theta.T and the coefficients as contiguous (m, n) rows
+    fam, m = RvFamily.make(calculus, c), 10
+    u = np.random.default_rng(0).random((50, 3, fam.rv_count(m)))
+    theta, eta = draws_from_uniforms(fam, m, u[:, 1, :])
+    assert theta.shape == eta.shape == (50, m + 1)
+    assert theta.T.flags.c_contiguous
+    for a in mixing_coefficients(fam, theta, eta):
+        assert a.shape == (m, 50) and a.flags.c_contiguous
+
+
+@pytest.mark.parametrize("name", ["BDK1", "BDK2", "BDK3", "StratoExplicit24"])
 def test_batch_matches_sequential_with_mixed_noises(name):
     t = registry_get(name)
-    m = 3
-    fields = [lambda x: -0.4 * x] + [
-        (lambda k: lambda x: (0.2 + 0.1 * k) * np.sin(x) + 0.1)(k) for k in range(m)
+    for m in (3, 10):  # m = 10 is the shape of the tennoise benchmark
+        fields = [lambda x: -0.4 * x] + [
+            (lambda k: lambda x: (0.2 + 0.1 * k) * np.sin(x) + 0.1)(k) for k in range(m)
+        ]
+        prob = SdeProblem(1, m, t.calculus, fields)
+        xb = integrate_paths(prob, t, np.array([0.5]), 0.125, 6, 4, np.random.default_rng(21))
+        rng = np.random.default_rng(21)
+        xs = np.stack([integrate_path(prob, t, np.array([0.5]), 0.125, 6, rng) for _ in range(4)])
+        assert np.array_equal(xb, xs), m
+
+
+# ---------------------------------------------------------------------------
+# outputs pinned bit for bit (float.hex) across changes to the stepping core
+
+PINNED_SINH1D = {  # integrate_paths on sinh1d, h = 1/16, 8 steps, 3 paths, seed 2024
+    "BDK2": ["-0x1.cbae6dcca43c8p-4", "0x1.daf14da1488b5p+0", "0x1.3c524410ac12dp-3"],
+    "EulerMaruyama": ["-0x1.a865c62eb1a20p-4", "0x1.b1f9d71a7d0d7p+0", "0x1.21dc89cb6aa5ep-3"],
+    "ItoDIRKEX": ["0x1.f07d0357f3ee2p+1", "0x1.d2ec711186b50p-2", "0x1.092af5f56dfeep-1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SINH1D))
+def test_sinh1d_paths_are_pinned(name):
+    setup = make_problem("sinh1d")
+    x = integrate_paths(
+        setup.make(), registry_get(name), setup.x0, 2.0**-4, 8, 3, np.random.default_rng(2024)
+    )
+    assert [v.hex() for v in x[:, 0].tolist()] == PINNED_SINH1D[name]
+
+
+def test_langevin_chain_is_pinned():
+    # criterion 9's stream consumer: the OU chain seeded as run_invariant_measure seeds it
+    F, D, d, m, _, _ = invariant_setup("ou")
+    rng = np.random.default_rng(np.random.SeedSequence((6,)))
+    state = langevin_chain(F, D, np.zeros(d), m, 0.25, 100, rng, n_chains=3)
+    assert [v.hex() for v in state.x[:, 0].tolist()] == [
+        "-0x1.a4cdca9bae79dp+0", "0x1.96df54f92c0c0p-7", "-0x1.7a3b52ee92a00p-3"
     ]
-    prob = SdeProblem(1, m, t.calculus, fields)
-    xb = integrate_paths(prob, t, np.array([0.5]), 0.125, 6, 4, np.random.default_rng(21))
-    rng = np.random.default_rng(21)
-    xs = np.stack([integrate_path(prob, t, np.array([0.5]), 0.125, 6, rng) for _ in range(4)])
-    assert np.array_equal(xb, xs)
+    assert [v.hex() for v in state.xbar[:, 0].tolist()] == [
+        "-0x1.47efd3f867098p+0", "0x1.0ad38c3c68397p-2", "0x1.543158b427a72p-1"
+    ]
