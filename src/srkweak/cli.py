@@ -23,6 +23,7 @@ import sys
 
 from . import conditions, forests, harness
 from .randvars import ITO, STRATONOVICH
+from .stepper import family_for_method
 from .tableau import UnknownMethodError, load_method, registry_get, registry_names
 
 
@@ -95,10 +96,10 @@ def _local_order(coarse, fine) -> float:
 def _cmd_effort(args) -> int:
     method = _get_method(args.method)
     n_d, n_s = harness.evaluation_counts(method, args.m)
-    n_r = harness.effort(method, args.m) - n_d - args.m * n_s
+    n_r = family_for_method(method).rv_count(args.m)
     print(
         f"{method.name} (m={args.m}): N_d={n_d} N_s={n_s} N_r={n_r} "
-        f"effort={harness.effort(method, args.m)}"
+        f"effort={n_d + args.m * n_s + n_r}"
     )
     return 0
 

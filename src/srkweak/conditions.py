@@ -36,7 +36,7 @@ import numpy as np
 
 from . import forests
 from .forests import DecoratedForest, enumerate_forests, exact_flow_coefficients, finer_decorations
-from .randvars import ITO, STRATONOVICH
+from .randvars import ITO, STRATONOVICH, CapacityError
 from .tableau import MethodTableau
 
 __all__ = [
@@ -144,7 +144,7 @@ def condition_table() -> tuple:
 def evaluate_table_condition(t: MethodTableau, forest: DecoratedForest, noise_labels=None) -> float:
     """Left-hand side of one table row for a method: the generic forest rule."""
     if forest.order > 2:
-        raise forests.CapacityError("condition table covers forests of order <= 2")
+        raise CapacityError("condition table covers forests of order <= 2")
     return forests.rk_coefficient_map(t, forest, noise_labels=noise_labels)
 
 
@@ -179,14 +179,10 @@ def check_all_table(
 # reduced condition systems
 
 
-def _ones(n: int) -> np.ndarray:
-    return np.ones(n)
-
-
 def _ito_reduced(t: MethodTableau):
     a, b = t.alpha, t.beta
     A0, B0, A1, B1 = t.A0, t.B0, t.A1, t.B1
-    e1, e2 = _ones(t.s1), _ones(t.s2)
+    e1, e2 = np.ones(t.s1), np.ones(t.s2)
     yield "ito.1", "alpha.1 = 1", a @ e1, 1.0
     yield "ito.2", "beta.1 = 1", b @ e2, 1.0
     yield "ito.3", "alpha.A0.1 = 1/2", a @ A0 @ e1, 0.5
@@ -203,7 +199,7 @@ def _ito_reduced(t: MethodTableau):
 def _strato_reduced(t: MethodTableau):
     a, b = t.alpha, t.beta
     A0, B0, A1, B1, Bh = t.A0, t.B0, t.A1, t.B1, t.Bhat1
-    e1, e2 = _ones(t.s1), _ones(t.s2)
+    e1, e2 = np.ones(t.s1), np.ones(t.s2)
     B1e = B1 @ e2
     Bhe = Bh @ e2
     A1e = A1 @ e1

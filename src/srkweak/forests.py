@@ -36,8 +36,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-ITO = "ito"
-STRATONOVICH = "stratonovich"
+from . import randvars
+from .randvars import ITO, STRATONOVICH, CapacityError
 
 __all__ = [
     "DecoratedForest",
@@ -77,16 +77,17 @@ class PosetError(ForestError):
     """Raised when two forests are not comparable in the refinement order."""
 
 
-class CapacityError(ValueError):
-    """Raised when an operation exceeds the supported order / noise capacity."""
-
-
 # A canonical tree is a nested tuple (decoration, (child, child, ...)) with
 # children sorted; a canonical forest is a sorted tuple of canonical trees.
 
 
-def _tree_nodes(tree) -> int:
-    return 1 + sum(_tree_nodes(c) for c in tree[1])
+def _adjacency(nodes, edges):
+    """``(parent, children, roots)`` of a graph given by (child, parent) edges."""
+    parent = dict(edges)
+    children: dict = {v: [] for v in nodes}
+    for c, p in edges:
+        children[p].append(c)
+    return parent, children, [v for v in nodes if v not in parent]
 
 
 def _encode_tree(v, children, dec, relabel):
@@ -128,11 +129,7 @@ def _canonical_trees(nodes, edges, decoration):
         if size % 2:
             raise ForestError(f"decoration class {label} has odd size {size}")
 
-    children: dict = {v: [] for v in nodes}
-    for child, par in parent.items():
-        children[par].append(child)
-    roots = [v for v in nodes if v not in parent]
-
+    _, children, roots = _adjacency(nodes, parent.items())
     labels = sorted(class_sizes)
     best = None
     for perm in itertools.permutations(range(1, len(labels) + 1)):
@@ -170,41 +167,29 @@ class DecoratedForest:
     def single(cls, dec: int = 0) -> "DecoratedForest":
         return cls.from_graph([0], [], {0: dec})
 
+    @cached_property
+    def _decorations(self) -> tuple:
+        """The node decorations in depth-first preorder."""
+        out: list = []
+        stack = list(reversed(self.trees))
+        while stack:
+            t = stack.pop()
+            out.append(t[0])
+            stack.extend(reversed(t[1]))
+        return tuple(out)
+
     @property
     def n_nodes(self) -> int:
-        return sum(_tree_nodes(t) for t in self.trees)
+        return len(self._decorations)
 
     @property
     def decoration_sizes(self) -> dict:
-        sizes: Counter = Counter()
-
-        def walk(t):
-            if t[0] > 0:
-                sizes[t[0]] += 1
-            for c in t[1]:
-                walk(c)
-
-        for t in self.trees:
-            walk(t)
-        return dict(sizes)
+        return dict(Counter(d for d in self._decorations if d > 0))
 
     @cached_property
     def order(self) -> Fraction:
-        blacks = 0
-        nonzero = 0
-
-        def walk(t):
-            nonlocal blacks, nonzero
-            if t[0] == 0:
-                blacks += 1
-            else:
-                nonzero += 1
-            for c in t[1]:
-                walk(c)
-
-        for t in self.trees:
-            walk(t)
-        return Fraction(2 * blacks + nonzero, 2)
+        # a black node has order 1, a decorated one 1/2
+        return Fraction(len(self._decorations) + self._decorations.count(0), 2)
 
     @property
     def is_exotic(self) -> bool:
@@ -304,44 +289,19 @@ def parse_forest(text: str) -> DecoratedForest:
 
 
 @lru_cache(maxsize=None)
-def _tree_shapes(n: int) -> tuple:
-    """All rooted unordered tree shapes with n nodes, as canonical nested tuples."""
-    if n == 1:
-        return ((),)
-    shapes = []
-    for forest in _forest_shapes(n - 1):
-        shapes.append(forest)
-    return tuple(sorted(set(shapes)))
-
-
-@lru_cache(maxsize=None)
 def _forest_shapes(n: int) -> tuple:
-    """All forest shapes (sorted tuples of tree shapes) with n nodes total."""
+    """All forests with n nodes total and every decoration 0, as canonical trees.
+
+    A tree with k nodes is a root over a forest with k - 1.
+    """
     if n == 0:
         return ((),)
     out = set()
     for k in range(1, n + 1):
-        for tree in _tree_shapes(k):
+        for kids in _forest_shapes(k - 1):
             for rest in _forest_shapes(n - k):
-                out.add(tuple(sorted(rest + (tree,))))
+                out.add(tuple(sorted(rest + ((0, kids),))))
     return tuple(sorted(out))
-
-
-def _shape_to_graph(shape):
-    nodes: list = []
-    edges: list = []
-
-    def walk(t, par):
-        v = len(nodes)
-        nodes.append(v)
-        if par is not None:
-            edges.append((v, par))
-        for c in t:
-            walk(c, v)
-
-    for t in shape:
-        walk(t, None)
-    return nodes, edges
 
 
 @lru_cache(maxsize=None)
@@ -359,7 +319,7 @@ def enumerate_forests(max_order: int, exotic_only: bool = False) -> tuple:
         for shape in _forest_shapes(n):
             if not shape:
                 continue
-            nodes, edges = _shape_to_graph(shape)
+            nodes, edges, _ = DecoratedForest(shape).graph()
             max_label = n // 2
             for decs in itertools.product(range(max_label + 1), repeat=n):
                 sizes = Counter(d for d in decs if d > 0)
@@ -660,11 +620,7 @@ def bck_coproduct(f: DecoratedForest):
     if not f.is_exotic:
         raise ForestError("coproduct is defined on exotic forests")
     nodes, edges, dec = f.graph()
-    parent = {c: p for c, p in edges}
-    children: dict = {v: [] for v in nodes}
-    for c, p in edges:
-        children[p].append(c)
-    roots = [v for v in nodes if v not in parent]
+    parent, children, roots = _adjacency(nodes, edges)
 
     def ancestors(v):
         out = set()
@@ -715,11 +671,7 @@ def deshuffle(f: DecoratedForest):
     ordered pair of forests appears once.
     """
     nodes, edges, dec = f.graph()
-    parent = {c: p for c, p in edges}
-    children: dict = {v: [] for v in nodes}
-    for c, p in edges:
-        children[p].append(c)
-    roots = [v for v in nodes if v not in parent]
+    _, children, roots = _adjacency(nodes, edges)
 
     # union-find over trees, merging trees that share a decoration class
     comp = list(range(len(roots)))
@@ -810,21 +762,56 @@ def convolution_exp(l: CoefficientMap, max_order: int) -> CoefficientMap:
 # decoration refinement and Moebius inversion
 
 
-def _even_set_partitions(elems, pair_only: bool):
-    """Partitions of ``elems`` into parts of even size (or exactly 2)."""
+def _set_partitions(elems, parts: str = "any"):
+    """Set partitions of ``elems`` as lists of frozensets.
+
+    ``parts`` restricts the part sizes: ``"any"``, ``"even"`` or ``"pairs"``.
+    The part holding the first element comes first, its other members chosen
+    in ``itertools.combinations`` order.
+    """
     elems = list(elems)
     if not elems:
         yield []
         return
     first = elems[0]
     rest = elems[1:]
-    sizes = [1] if pair_only else range(1, len(rest) + 1, 2)
+    if parts == "pairs":
+        sizes = (1,)
+    elif parts == "even":
+        sizes = range(1, len(rest) + 1, 2)
+    else:
+        sizes = range(len(rest) + 1)
     for k in sizes:
         for others in itertools.combinations(rest, k):
             part = frozenset((first,) + others)
             remaining = [e for e in rest if e not in part]
-            for sub in _even_set_partitions(remaining, pair_only):
+            for sub in _set_partitions(remaining, parts):
                 yield [part] + sub
+
+
+def _refinements(f: DecoratedForest, parts: str):
+    """Every refinement of the decoration of ``f``'s representative graph.
+
+    Yields ``(combo, refined)``: ``combo`` holds one partition of each
+    nonzero decoration class (in label order), with the part sizes that
+    ``parts`` names (see :func:`_set_partitions`), and ``refined`` is the
+    forest that labels those parts 1, 2, ... in order.
+    """
+    nodes, edges, dec = f.graph()
+    classes: dict = {}
+    for v in nodes:
+        if dec[v] > 0:
+            classes.setdefault(dec[v], []).append(v)
+    per_class = [list(_set_partitions(classes[lab], parts)) for lab in sorted(classes)]
+    for combo in itertools.product(*per_class):
+        new_dec = {v: 0 for v in nodes}
+        next_label = 1
+        for class_parts in combo:
+            for part in sorted(class_parts, key=sorted):
+                for v in part:
+                    new_dec[v] = next_label
+                next_label += 1
+        yield combo, DecoratedForest.from_graph(nodes, edges, new_dec)
 
 
 def finer_decorations(f: DecoratedForest, exotic_only: bool = False):
@@ -835,39 +822,8 @@ def finer_decorations(f: DecoratedForest, exotic_only: bool = False):
     forest is the number of distinct refining decorations producing it; it
     always equals ``symmetry(f) / symmetry(refined)``.
     """
-    nodes, edges, dec = f.graph()
-    classes: dict = {}
-    for v in nodes:
-        if dec[v] > 0:
-            classes.setdefault(dec[v], []).append(v)
-    labels = sorted(classes)
-    per_class = [list(_even_set_partitions(classes[lab], exotic_only)) for lab in labels]
-    out: Counter = Counter()
-    for combo in itertools.product(*per_class):
-        new_dec = {v: 0 for v in nodes}
-        next_label = 1
-        for parts in combo:
-            for part in sorted(parts, key=sorted):
-                for v in part:
-                    new_dec[v] = next_label
-                next_label += 1
-        out[DecoratedForest.from_graph(nodes, edges, new_dec)] += 1
+    out = Counter(refined for _, refined in _refinements(f, "pairs" if exotic_only else "even"))
     return sorted(out.items(), key=lambda kv: kv[0].trees)
-
-
-def _partitions_of(items):
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first = items[0]
-    rest = items[1:]
-    for k in range(len(rest) + 1):
-        for others in itertools.combinations(rest, k):
-            part = frozenset((first,) + others)
-            remaining = [e for e in rest if e not in part]
-            for sub in _partitions_of(remaining):
-                yield [part] + sub
 
 
 def moebius(fine: DecoratedForest, coarse: DecoratedForest) -> int:
@@ -877,42 +833,20 @@ def moebius(fine: DecoratedForest, coarse: DecoratedForest) -> int:
     ``mu(f, f) = 1`` and ``mu(f, c) = -sum_{f <= d < c} mu(f, d)`` over the
     intermediate decorations of a fixed representative of ``coarse``.
     """
-    nodes, edges, dec_c = coarse.graph()
-    classes: dict = {}
-    for v in nodes:
-        if dec_c[v] > 0:
-            classes.setdefault(dec_c[v], []).append(v)
-    labels = sorted(classes)
-
-    match = None
-    for combo in itertools.product(
-        *[list(_even_set_partitions(classes[lab], False)) for lab in labels]
-    ):
-        new_dec = {v: 0 for v in nodes}
-        next_label = 1
-        for parts in combo:
-            for part in sorted(parts, key=sorted):
-                for v in part:
-                    new_dec[v] = next_label
-                next_label += 1
-        if DecoratedForest.from_graph(nodes, edges, new_dec) == fine:
-            match = combo
-            break
+    match = next((combo for combo, refined in _refinements(coarse, "even") if refined == fine), None)
     if match is None:
         raise PosetError("first forest does not refine the second")
 
     # poset element: per class, a partition of that class's fine parts
-    bottom = tuple(frozenset(frozenset((p,)) for p in parts) for parts in
-                   (tuple(sorted(parts, key=sorted)) for parts in match))
-    fine_parts = [tuple(sorted(parts, key=sorted)) for parts in match]
-    top = tuple(frozenset((frozenset(parts),)) for parts in fine_parts)
+    bottom = tuple(frozenset(frozenset((p,)) for p in parts) for parts in match)
+    top = tuple(frozenset((frozenset(parts),)) for parts in match)
 
     def refinements_below(elem):
         per_class = []
         for blocks in elem:
             choices = []
             for block_partition in itertools.product(
-                *[list(_partitions_of(sorted(block, key=sorted))) for block in sorted(blocks, key=sorted)]
+                *[list(_set_partitions(sorted(block, key=sorted))) for block in sorted(blocks, key=sorted)]
             ):
                 merged = frozenset(
                     frozenset(part) for parts in block_partition for part in parts
@@ -964,8 +898,7 @@ def _contraction_plan(f: DecoratedForest, noise_labels: tuple | None):
     label.update(dict(zip(classes, noise_labels)))
     m = max((1,) + noise_labels)
 
-    parent = {c: p for c, p in edges}
-    roots = [v for v in nodes if v not in parent]
+    _, _, roots = _adjacency(nodes, edges)
     monomial = [(("theta", label[dec[r]]), 1) for r in roots if label[dec[r]] != 0]
     children = {v: [] for v in nodes}
     for child, par in edges:
@@ -1001,8 +934,6 @@ def rk_coefficient_map(tableau, f: DecoratedForest, noise_labels: Sequence[int] 
     leaf), and the sum is the product over roots of ``alpha @ w`` or
     ``beta @ w``.
     """
-    from . import randvars
-
     if not f.trees:
         return 1.0
     if noise_labels is not None:

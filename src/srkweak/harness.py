@@ -276,14 +276,11 @@ def estimate_weak_error(
         raise ValueError("need at least two batches for a standard error")
     n_steps = _steps_for(setup.T, h)
     problem = setup.make()
-    family = family_for_method(method)
     means = np.empty(n_batches)
     for b in range(n_batches):
         rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
         try:
-            X = integrate_paths(
-                problem, method, setup.x0, h, n_steps, n_per_batch, rng, family=family
-            )
+            X = integrate_paths(problem, method, setup.x0, h, n_steps, n_per_batch, rng)
         except StepError as exc:
             raise StepError(
                 f"{setup.name}/{method.name} batch {b} (h={h}, seed={seed}): {exc}"
@@ -330,11 +327,11 @@ def run_convergence(
 
 def evaluation_counts(method: MethodTableau, m: int) -> tuple:
     """(N_d, N_s): instrumented drift/diffusion evaluations of one step."""
+    if m < 1:
+        raise ValueError("need at least one noise")
     zero = lambda x: np.zeros_like(x)
     problem = SdeProblem(1, m, method.calculus, [zero] * (m + 1))
-    family = family_for_method(method)
-    rng = np.random.default_rng(0)
-    integrate_paths(problem, method, np.zeros(1), 1.0, 1, 1, rng, family=family)
+    integrate_paths(problem, method, np.zeros(1), 1.0, 1, 1, np.random.default_rng(0))
     n_d = problem.drift_evals
     per_noise = problem.diffusion_evals
     if len(set(per_noise.tolist())) != 1:
@@ -344,8 +341,6 @@ def evaluation_counts(method: MethodTableau, m: int) -> tuple:
 
 def effort(method: MethodTableau, m: int) -> int:
     """Computational effort per step, N_d + m*N_s + N_r."""
-    if m < 1:
-        raise ValueError("need at least one noise")
     n_d, n_s = evaluation_counts(method, m)
     n_r = family_for_method(method).rv_count(m)
     return n_d + m * n_s + n_r

@@ -106,7 +106,7 @@ class FamilyError(ValueError):
 
 
 class CapacityError(ValueError):
-    """Exact enumeration requested beyond the supported noise count."""
+    """An operation requested beyond its supported order or noise count."""
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,6 @@ class RvFamily:
         if m > 1:
             n += 1
         return n
-
-    def uniforms_per_step(self, m: int) -> int:
-        return self.rv_count(m)
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,7 +214,7 @@ def draws_from_uniforms(family: RvFamily, m: int, u: np.ndarray):
     Both are returned as transposes of noise-major arrays (Fortran order), so
     ``theta.T[p]`` is a contiguous row of the batch for each noise p.
     """
-    k = family.uniforms_per_step(m)
+    k = family.rv_count(m)
     u = np.asarray(u)
     if u.shape[-1] != k:
         raise ValueError(f"expected {k} uniforms per draw, got {u.shape[-1]}")
@@ -264,15 +261,16 @@ def mixing_coefficients(family: RvFamily, theta: np.ndarray, eta: np.ndarray):
     Returns ``(row0, col0, diag, up, low)``: ``row0[q] = Theta[0][q]``,
     ``col0[q] = Theta[q][0]``, ``diag[q] = Theta[q][q]`` and, for p, q >= 1,
     ``Theta[p][q] = up[q] = theta_q (1 + eta_0)`` when q > p and
-    ``low[q] = theta_q (1 - eta_0)`` when q < p.  ``up`` and ``low`` are None
-    when m = 1, which has no mixed entries.
+    ``low[q] = theta_q (1 - eta_0)`` when q < p.  ``col0`` is None in the
+    c=1/2 variant, where every Theta[q][0] is 1, and ``up`` and ``low`` are
+    None when m = 1, which has no mixed entries.
     """
     m = theta.shape[-1] - 1
     # In place, so that no two batch-sized temporaries are alive at once.
     th, e = theta.T[1:], eta.T
     if family.half_variant:
         row0 = th
-        col0 = np.ones_like(th)
+        col0 = None  # Theta[p][0] = 1
     else:
         c = family.c
         row0 = math.sqrt(1.0 / (2.0 * c) - 1.0) * e[1:]
@@ -303,7 +301,7 @@ def dense_theta(family: RvFamily, theta: np.ndarray, eta: np.ndarray) -> np.ndar
     Theta = np.zeros(theta.shape[:-1] + (m + 1, m + 1))
     Theta[..., 0, 0] = 1.0
     Theta[..., 0, 1:] = row0
-    Theta[..., 1:, 0] = col0
+    Theta[..., 1:, 0] = 1.0 if col0 is None else col0
     if up is not None:
         for p in range(1, m + 1):
             Theta[..., p, p + 1 :] = up[..., p:]
@@ -317,7 +315,7 @@ def sample_draw(family: RvFamily, m: int, rng: np.random.Generator) -> NoiseDraw
     """Sample one step's draw; consumes exactly ``rv_count(m)`` uniforms from rng."""
     if m < 1:
         raise ValueError("need at least one noise")
-    u = rng.random(family.uniforms_per_step(m))
+    u = rng.random(family.rv_count(m))
     theta, eta = draws_from_uniforms(family, m, u)
     Theta = dense_theta(family, theta, eta)
     theta.setflags(write=False)

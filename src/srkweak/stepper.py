@@ -217,7 +217,10 @@ def _stage_terms(problem, t, xb, h, coefficients):
         cols = _nonzero_cols(t.A1[i])
         if cols:
             da = sum(t.A1[i, j] * F0[j] for j in cols)
-            acc += np.multiply(h * Thp0[:, :, None], da, out=term)
+            if Thp0 is None:  # Theta[p][0] = 1 in the c = 1/2 variant
+                acc += h * da
+            else:
+                acc += np.multiply(h * Thp0[:, :, None], da, out=term)
         for j in _nonzero_cols(t.B1[i]):
             acc += np.multiply(sqh * t.B1[i, j], V[j], out=term)
         if strato:
@@ -299,7 +302,10 @@ def _check_step_args(problem: SdeProblem, t: MethodTableau, h: float, draw: Opti
 
 def _dense_coefficients(Theta: np.ndarray):
     """The five coefficient rows of :func:`randvars.mixing_coefficients`,
-    sliced noise-major (m, n) from dense Theta of shape (n, m+1, m+1)."""
+    sliced noise-major (m, n) from dense Theta of shape (n, m+1, m+1).
+
+    The c=1/2 column Theta[q][0], None there, is sliced as its ones.
+    """
     m = Theta.shape[-1] - 1
     idx = np.arange(1, m + 1)
     diag = Theta[:, idx, idx].T
@@ -370,7 +376,7 @@ def integrate_paths(
     _check_step_args(problem, t, h, None)
     family = family or family_for_method(t)
     m = problem.m
-    k = family.uniforms_per_step(m)
+    k = family.rv_count(m)
     u = rng.random((n_paths, n_steps, k))
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, problem.d)).copy()
     for s in range(n_steps):
@@ -475,7 +481,7 @@ def langevin_chain(
     d = np.asarray(x0, dtype=float).shape[-1] if np.asarray(x0).ndim else 1
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_chains, d)).copy()
     state = LangevinState(x, x.copy(), None)
-    k = family.uniforms_per_step(m)
+    k = family.rv_count(m)
     block = max(1, min(n_steps, int(2e6 // max(1, n_chains * k))))
     done = 0
     while done < n_steps:

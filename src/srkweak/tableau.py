@@ -26,7 +26,7 @@ import json
 import math
 import re
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -145,28 +145,14 @@ def make_tableau(
 
 def tableaux_equal(a: MethodTableau, b: MethodTableau) -> bool:
     """Bit-exact field-by-field equality."""
-    if (a.name, a.calculus, a.c, a.det_order, a.weak_order, a.structure) != (
-        b.name,
-        b.calculus,
-        b.c,
-        b.det_order,
-        b.weak_order,
-        b.structure,
-    ):
-        return False
-    pairs = [
-        (a.alpha, b.alpha),
-        (a.beta, b.beta),
-        (a.A0, b.A0),
-        (a.B0, b.B0),
-        (a.A1, b.A1),
-        (a.B1, b.B1),
-    ]
-    if (a.Bhat1 is None) != (b.Bhat1 is None):
-        return False
-    if a.Bhat1 is not None:
-        pairs.append((a.Bhat1, b.Bhat1))
-    return all(x.shape == y.shape and np.array_equal(x, y) for x, y in pairs)
+    for f in fields(MethodTableau):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) and isinstance(y, np.ndarray):
+            if not np.array_equal(x, y):
+                return False
+        elif isinstance(x, np.ndarray) or isinstance(y, np.ndarray) or x != y:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -202,30 +188,19 @@ def stage_evaluation_order(t: MethodTableau):
     cached = _ORDER_CACHE.get(t)
     if cached is not None:
         return cached if cached != "cyclic" else None
-    s1, s2 = t.s1, t.s2
+    size = {"drift": t.s1, "stoch": t.s2}
+
+    def refs(block, i, kind):
+        """The ``kind`` stages that the nonzero entries of row i of ``block`` read."""
+        return {(kind, j) for j in range(min(size[kind], block.shape[1])) if block[i, j] != 0.0}
+
     deps = {}
-    for i in range(s1):
-        d = set()
-        for j in range(s1):
-            if t.A0[i, j] != 0.0:
-                d.add(("drift", j))
-        for j in range(min(s2, t.B0.shape[1])):
-            if t.B0[i, j] != 0.0:
-                d.add(("stoch", j))
-        deps[("drift", i)] = d
-    for i in range(s2):
-        d = set()
-        for j in range(min(s1, t.A1.shape[1])):
-            if t.A1[i, j] != 0.0:
-                d.add(("drift", j))
-        for j in range(min(s2, t.B1.shape[1])):
-            if t.B1[i, j] != 0.0:
-                d.add(("stoch", j))
+    for i in range(t.s1):
+        deps[("drift", i)] = refs(t.A0, i, "drift") | refs(t.B0, i, "stoch")
+    for i in range(t.s2):
+        deps[("stoch", i)] = refs(t.A1, i, "drift") | refs(t.B1, i, "stoch")
         if t.Bhat1 is not None:
-            for j in range(min(s2, t.Bhat1.shape[1])):
-                if t.Bhat1[i, j] != 0.0:
-                    d.add(("stoch", j))
-        deps[("stoch", i)] = d
+            deps[("stoch", i)] |= refs(t.Bhat1, i, "stoch")
     order = []
     placed: set = set()
     pending = sorted(deps)

@@ -82,10 +82,16 @@ def test_converge_prints_fit_range_and_local_orders(capsys):
         assert line.endswith(f"local_order={local:.3f}")
 
 
-def test_effort_output(capsys):
+def test_effort_output(capsys, monkeypatch):
+    from srkweak import harness
+
+    probes = []
+    integrate = harness.integrate_paths
+    monkeypatch.setattr(harness, "integrate_paths", lambda *a, **k: probes.append(1) or integrate(*a, **k))
     assert main(["effort", "BDK3", "--m", "1"]) == 0
     out = capsys.readouterr().out
     assert "N_d=3" in out and "N_s=2" in out and "N_r=2" in out and "effort=7" in out
+    assert len(probes) == 1  # one instrumented step gives N_d and N_s
 
 
 def test_forests_listing(capsys):

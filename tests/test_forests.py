@@ -149,6 +149,38 @@ def test_enumeration_counts():
         enumerate_forests(4)
 
 
+def test_every_capacity_raise_is_the_randvars_error():
+    from srkweak import conditions, randvars
+
+    cases = {
+        "enumerate_forests": lambda: enumerate_forests(4),
+        "gl_exponential": lambda: gl_exponential(generator_sum(ITO), 4),
+        "CoefficientMap": lambda: exact_flow_coefficients(ITO, 1)(pf("[0[0]]")),
+        "evaluate_table_condition": lambda: conditions.evaluate_table_condition(
+            registry_get("BDK1"), pf("[0[0][1][1]]")
+        ),
+    }
+    for name, case in cases.items():
+        with pytest.raises(randvars.CapacityError):
+            case()
+    assert CapacityError is randvars.CapacityError
+
+
+def test_set_partitions_counts_and_part_sizes():
+    # Bell numbers; partitions into even parts; perfect matchings (n - 1)!!
+    assert [len(list(fo._set_partitions(range(n)))) for n in range(6)] == [1, 1, 2, 5, 15, 52]
+    assert [len(list(fo._set_partitions(range(n), "even"))) for n in (2, 4, 6)] == [1, 4, 31]
+    assert [len(list(fo._set_partitions(range(n), "pairs"))) for n in (2, 4, 6)] == [1, 3, 15]
+    allowed = {"any": lambda k: k >= 1, "even": lambda k: k % 2 == 0, "pairs": lambda k: k == 2}
+    for parts, ok in allowed.items():
+        seen = set()
+        for partition in fo._set_partitions(range(6), parts):
+            assert sorted(itertools.chain(*partition)) == list(range(6))
+            assert all(ok(len(part)) for part in partition)
+            seen.add(frozenset(partition))
+        assert len(seen) == len(list(fo._set_partitions(range(6), parts)))
+
+
 @pytest.mark.parametrize(
     "text,sigma",
     [

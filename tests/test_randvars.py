@@ -181,7 +181,7 @@ def test_empirical_moments_match_exact():
     m = 2
     n = 1_000_000
     rng = np.random.default_rng(99)
-    u = rng.random((n, f.uniforms_per_step(m)))
+    u = rng.random((n, f.rv_count(m)))
     theta, eta = draws_from_uniforms(f, m, u)
     Theta = dense_theta(f, theta, eta)
     checks = [

@@ -1,5 +1,6 @@
 """Tests for tableau data model, registry, validation, and file round trips."""
 
+import dataclasses
 import json
 import math
 
@@ -171,6 +172,59 @@ def test_stage_order_interleaves_stochastic_first():
     assert stage_evaluation_order(registry_get("StratoDIRK")) is None
     # IMEX methods are implicit in one family only, but still cyclic as a whole
     assert stage_evaluation_order(registry_get("ItoDIRKEX")) is None
+
+
+# recorded from the stage-order builder before it was rewritten as one set
+# builder per coefficient block; "d" is a drift stage, "s" a stochastic one
+PINNED_STAGE_ORDERS = {
+    "BDK1": "d0 s0 d1 s1",
+    "BDK2": "d0 s0 d1 d2 s1",
+    "BDK3": "d0 s0 d1 d2 s1",
+    "ItoImplicit12": None,
+    "StratoExplicit24": "d0 s0 s1 d1 s2 s3",
+    "StratoImplicit12": None,
+    "StratoDetOrder3": "s0 d0 d1 s1 s2 s3 d2",
+    "ItoDIRKEX": None,
+    "ItoEXDIRK": None,
+    "StratoDIRKEX": None,
+    "StratoEXDIRK": None,
+    "StratoDIRK": None,
+    "EulerMaruyama": "d0 s0",
+}
+
+
+def test_stage_evaluation_order_pinned():
+    assert set(PINNED_STAGE_ORDERS) == set(registry_names())
+    for name, want in PINNED_STAGE_ORDERS.items():
+        order = stage_evaluation_order(registry_get(name))
+        got = None if order is None else " ".join(kind[0] + str(i) for kind, i in order)
+        assert got == want, name
+
+
+def test_tableaux_equal_detects_each_single_field_change():
+    t = registry_get("StratoExplicit24")
+    assert tableaux_equal(t, dataclasses.replace(t))
+    changes = {
+        "name": "other", "calculus": ITO, "c": 0.25, "det_order": 3, "weak_order": 1,
+        "structure": IMEX,
+        **{k: getattr(t, k) + 0.5 for k in ("alpha", "beta", "A0", "B0", "A1", "B1", "Bhat1")},
+    }
+    assert set(changes) == {f.name for f in dataclasses.fields(MethodTableau)}
+    for key, value in changes.items():
+        other = dataclasses.replace(t, **{key: value})
+        assert not tableaux_equal(t, other), key
+        assert not tableaux_equal(other, t), key
+
+
+def test_tableaux_equal_bhat1_on_one_side_and_shape_mismatch():
+    t = registry_get("StratoExplicit24")
+    no_bhat = dataclasses.replace(t, Bhat1=None)
+    assert not tableaux_equal(t, no_bhat) and not tableaux_equal(no_bhat, t)
+    assert tableaux_equal(no_bhat, dataclasses.replace(t, Bhat1=None))
+    # same entries, other shape: a column of zeros appended to B1
+    wide = dataclasses.replace(t, B1=np.hstack([t.B1, np.zeros((t.s2, 1))]))
+    assert not tableaux_equal(t, wide) and not tableaux_equal(wide, t)
+    assert not tableaux_equal(t, dataclasses.replace(t, alpha=t.alpha[None, :]))
 
 
 def test_save_load_round_trip_bit_exact(tmp_path):
