@@ -11,13 +11,14 @@ and the update
 
     x' = x + h sum_i alpha_i f^0(H_i^0) + sqrt(h) sum_{i,p} beta_i theta_p f^p(H_i^p).
 
-Stages are evaluated in the topological order induced by the nonzero
-coefficient entries when one exists (drift and stochastic stages may
-interleave); otherwise the full stage vector is solved by fixed-point
-iteration with tolerance ``1e-13 * (1 + |x|)`` in the max norm and an
-iteration cap of 200.  Each diffusion value f^q(H_j^q) is computed once per
-(j, q) and reused everywhere it appears, which is what makes the optimal
-per-step evaluation counts attainable.
+Stages are evaluated block by block in the dependency order induced by the
+nonzero coefficient entries (:func:`tableau.stage_blocks`; drift and
+stochastic stages may interleave).  A block that does not read itself is
+evaluated once; a cyclic block is solved by fixed-point iteration on its own
+stages, with tolerance ``1e-13 * (1 + |x|)`` in the max norm over the block
+and the batch, and an iteration cap of 200.  Each diffusion value
+f^q(H_j^q) is computed once per (j, q) and reused everywhere it appears,
+which is what makes the optimal per-step evaluation counts attainable.
 
 A step's noise is carried by its generators (theta, eta) and never as the
 dense (m+1) x (m+1) Theta: the stages read five per-noise coefficient arrays
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import randvars
 from .randvars import ITO, STRATONOVICH, NoiseDraw, RvFamily
-from .tableau import MethodTableau, stage_evaluation_order
+from .tableau import MethodTableau, stage_blocks
 
 __all__ = [
     "SdeProblem",
@@ -76,7 +77,7 @@ class StepError(RuntimeError):
 
 
 class ImplicitSolveError(StepError):
-    """Fixed-point iteration for the implicit stages failed to converge."""
+    """Fixed-point iteration for a cyclic stage block failed to converge."""
 
 
 class NonFiniteStateError(StepError):
@@ -171,47 +172,36 @@ def _mix(coefficients, F, strato):
     return U, V
 
 
-def _diffusion_values(problem, H):
-    """f^p at the stage inputs H (m, n, d), row p - 1 each, shape (m, n, d)."""
-    F = np.empty_like(H)
-    for p in range(len(H)):
-        F[p] = problem.eval_field(p + 1, H[p])
-    return F
-
-
-def _max_change(new, old):
-    """max |new - old| over stages stacked along axis 0, taken stage by stage
-    so that each temporary is one stage large."""
-    return float(np.max([np.max(np.abs(a - b)) for a, b in zip(new, old)]))
-
-
 def _stage_terms(problem, t, xb, h, coefficients):
     """Evaluate all stage field values; returns (F0 list, Fst list).
 
     ``coefficients`` are the five noise-major (m, n) coefficient rows of
     :func:`randvars.mixing_coefficients`.  F0[i] is f^0 at drift stage i,
     shape (n, d); Fst[j] holds f^q at stochastic stage j in row q - 1,
-    shape (m, n, d).
+    shape (m, n, d).  The stage blocks of :func:`tableau.stage_blocks` are
+    taken in order: a block that does not read itself is evaluated once, a
+    cyclic one is solved by fixed-point iteration on its own stages.
     """
-    s1, s2, m = t.s1, t.s2, problem.m
+    m = problem.m
     sqh = math.sqrt(h)
     strato = t.calculus == STRATONOVICH
     _, Thp0, Th_diag, _, _ = coefficients
 
-    F0 = [None] * s1
-    Fst = [None] * s2
-    U = [None] * s2                    # sum_q Theta[0][q] f^q(H_j^q), (n, d)
-    V = [None] * s2                    # (m, n, d): row p is sum over q entering H_i^p
+    F0 = [None] * t.s1
+    Fst = [None] * t.s2
+    U = [None] * t.s2                  # sum_q Theta[0][q] f^q(H_j^q), (n, d)
+    V = [None] * t.s2                  # (m, n, d): row p is sum over q entering H_i^p
 
-    def drift_value(i, acc):
-        acc[...] = xb
-        for j in _nonzero_cols(t.A0[i]):
-            acc += (h * t.A0[i, j]) * F0[j]
-        for j in _nonzero_cols(t.B0[i]):
-            acc += (sqh * t.B0[i, j]) * U[j]
-        return acc
-
-    def stoch_values(i, acc):
+    def stage_input(kind, i):
+        """H_i^0 for a drift stage (n, d), the rows H_i^p for a stochastic one."""
+        if kind == "drift":
+            acc = xb.copy()
+            for j in _nonzero_cols(t.A0[i]):
+                acc += (h * t.A0[i, j]) * F0[j]
+            for j in _nonzero_cols(t.B0[i]):
+                acc += (sqh * t.B0[i, j]) * U[j]
+            return acc
+        acc = np.empty((m,) + xb.shape)
         acc[...] = xb
         term = np.empty_like(acc)  # scratch for one term at a time
         cols = _nonzero_cols(t.A1[i])
@@ -229,44 +219,41 @@ def _stage_terms(problem, t, xb, h, coefficients):
                 acc += np.multiply(sqh * t.Bhat1[i, j], term, out=term)
         return acc
 
-    order = stage_evaluation_order(t)
-    if order is not None:
-        for kind, i in order:
-            if kind == "drift":
-                F0[i] = problem.eval_field(0, drift_value(i, np.empty_like(xb)))
-            else:
-                Fst[i] = _diffusion_values(problem, stoch_values(i, np.empty((m,) + xb.shape)))
-                U[i], V[i] = _mix(coefficients, Fst[i], strato)
-        return F0, Fst
+    def evaluate(kind, i, H):
+        """f^0 at a drift stage; f^p at row p - 1 of a stochastic one, then mixed."""
+        if kind == "drift":
+            F0[i] = problem.eval_field(0, H)
+            return
+        Fst[i] = np.empty_like(H)
+        for p in range(m):
+            Fst[i][p] = problem.eval_field(p + 1, H[p])
+        U[i], V[i] = _mix(coefficients, Fst[i], strato)
 
-    # implicit: fixed-point iteration on the full stage vector
-    n, d = xb.shape
-    H0 = np.broadcast_to(xb, (s1, n, d)).copy()
-    Hs = np.broadcast_to(xb, (s2, m, n, d)).copy()
-    tol = FIXED_POINT_TOL * (1.0 + float(np.max(np.abs(xb))))
-    for _ in range(FIXED_POINT_MAXITER):
-        for i in range(s1):
-            F0[i] = problem.eval_field(0, H0[i])
-        for j in range(s2):
-            Fst[j] = _diffusion_values(problem, Hs[j])
-            U[j], V[j] = _mix(coefficients, Fst[j], strato)
-        H0_new, Hs_new = np.empty_like(H0), np.empty_like(Hs)
-        for i in range(s1):
-            drift_value(i, H0_new[i])
-        for i in range(s2):
-            stoch_values(i, Hs_new[i])
-        delta = 0.0
-        if H0_new.size:
-            delta = max(delta, _max_change(H0_new, H0))
-        if Hs_new.size:
-            delta = max(delta, _max_change(Hs_new, Hs))
-        H0, Hs = H0_new, Hs_new
-        if delta <= tol:
-            return F0, Fst
-    raise ImplicitSolveError(
-        f"stage fixed point for {t.name} did not reach {tol:.3g} within "
-        f"{FIXED_POINT_MAXITER} iterations (h={h})"
-    )
+    for nodes, cyclic in stage_blocks(t):
+        if not cyclic:
+            for kind, i in nodes:
+                evaluate(kind, i, stage_input(kind, i))
+            continue
+        # fixed point on the block's stage inputs, started from x
+        H = [xb.copy() if kind == "drift" else np.broadcast_to(xb, (m,) + xb.shape).copy()
+             for kind, _ in nodes]
+        tol = FIXED_POINT_TOL * (1.0 + float(np.max(np.abs(xb))))
+        for _ in range(FIXED_POINT_MAXITER):
+            for (kind, i), Hk in zip(nodes, H):
+                evaluate(kind, i, Hk)
+            H_new = [stage_input(kind, i) for kind, i in nodes]
+            # np.max, unlike Python's max, keeps a NaN change from passing
+            delta = np.max([np.max(np.abs(a - b)) for a, b in zip(H_new, H)])
+            H = H_new
+            if delta <= tol:
+                break
+        else:
+            block = ", ".join(f"{kind} {i}" for kind, i in nodes)
+            raise ImplicitSolveError(
+                f"fixed point for stage block ({block}) of {t.name} did not reach "
+                f"{tol:.3g} within {FIXED_POINT_MAXITER} iterations (h={h})"
+            )
+    return F0, Fst
 
 
 def _apply_step(problem, t, xb, h, th, coefficients):
@@ -335,10 +322,9 @@ def integrate_path(
     h: float,
     n_steps: int,
     rng: np.random.Generator,
-    family: Optional[RvFamily] = None,
 ) -> np.ndarray:
     """n-fold composition of :func:`step` with a fresh draw per step."""
-    family = family or family_for_method(t)
+    family = family_for_method(t)
     x = np.asarray(x0, dtype=float)
     for k in range(n_steps):
         draw = randvars.sample_draw(family, problem.m, rng)
@@ -362,7 +348,6 @@ def integrate_paths(
     n_steps: int,
     n_paths: int,
     rng: np.random.Generator,
-    family: Optional[RvFamily] = None,
 ) -> np.ndarray:
     """Vectorized batch of independent paths sharing one generator stream.
 
@@ -370,11 +355,12 @@ def integrate_paths(
     per-step sequence first, then path 1, ...), so a batch reproduces
     :func:`integrate_path` run path after path on the same generator.  For
     explicit methods it does so bit for bit.  For implicit methods it agrees
-    to within 1e-12 relative: the fixed-point sweeps and their stopping test
-    are shared across the batch, so a path may take more sweeps than alone.
+    to within 1e-12 relative: each cyclic stage block's fixed-point sweeps and
+    its stopping test are shared across the batch, so a path may take more
+    sweeps than alone.
     """
     _check_step_args(problem, t, h, None)
-    family = family or family_for_method(t)
+    family = family_for_method(t)
     m = problem.m
     k = family.rv_count(m)
     u = rng.random((n_paths, n_steps, k))

@@ -42,6 +42,7 @@ __all__ = [
     "TableauFileError",
     "make_tableau",
     "validate",
+    "stage_blocks",
     "stage_evaluation_order",
     "registry_names",
     "registry_get",
@@ -174,20 +175,22 @@ class ValidationReport:
         return [msg for sev, msg in self.findings if sev == "warning"]
 
 
-_ORDER_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_BLOCK_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def stage_evaluation_order(t: MethodTableau):
-    """Topological evaluation order over drift and stochastic stages, or None.
+def stage_blocks(t: MethodTableau) -> tuple:
+    """The stage blocks in dependency order: a tuple of (nodes, cyclic).
 
     Nodes are ("drift", i) and ("stoch", j); a drift stage depends on the
     stages its nonzero A0/B0 row entries reference, a stochastic stage on its
-    A1/B1 (and Bhat1) entries.  Returns None when the dependencies are cyclic,
-    i.e. the method genuinely needs an implicit solve.
+    A1/B1 (and Bhat1) entries.  A block is a strongly connected set of nodes,
+    listed in sorted order; ``cyclic`` says whether it reads itself, i.e.
+    needs an implicit solve.  Each block comes after every block it reads;
+    among the ready blocks the one with the smallest first node goes first.
     """
-    cached = _ORDER_CACHE.get(t)
+    cached = _BLOCK_CACHE.get(t)
     if cached is not None:
-        return cached if cached != "cyclic" else None
+        return cached
     size = {"drift": t.s1, "stoch": t.s2}
 
     def refs(block, i, kind):
@@ -201,20 +204,27 @@ def stage_evaluation_order(t: MethodTableau):
         deps[("stoch", i)] = refs(t.A1, i, "drift") | refs(t.B1, i, "stoch")
         if t.Bhat1 is not None:
             deps[("stoch", i)] |= refs(t.Bhat1, i, "stoch")
-    order = []
-    placed: set = set()
-    pending = sorted(deps)
+    reach = {n: set(d) for n, d in deps.items()}  # transitive closure (Warshall)
+    for k in deps:
+        for n in deps:
+            if k in reach[n]:
+                reach[n] |= reach[k]
+    pending = sorted({tuple(sorted({n} | {k for k in reach[n] if n in reach[k]})) for n in deps})
+    blocks, placed = [], set()
     while pending:
-        ready = [n for n in pending if deps[n] <= placed]
-        if not ready:
-            _ORDER_CACHE[t] = "cyclic"
-            return None
-        node = ready[0]
-        order.append(node)
-        placed.add(node)
-        pending.remove(node)
-    _ORDER_CACHE[t] = order
-    return order
+        nodes = next(b for b in pending if all(deps[n] <= placed | set(b) for n in b))
+        blocks.append((nodes, nodes[0] in reach[nodes[0]]))
+        placed.update(nodes)
+        pending.remove(nodes)
+    _BLOCK_CACHE[t] = blocks = tuple(blocks)
+    return blocks
+
+
+def stage_evaluation_order(t: MethodTableau):
+    """The stages of :func:`stage_blocks` in order, or None when a block is
+    cyclic, i.e. the method genuinely needs an implicit solve."""
+    blocks = stage_blocks(t)
+    return None if any(c for _, c in blocks) else [n for nodes, _ in blocks for n in nodes]
 
 
 def validate(t: MethodTableau, check_order: bool = True, tol: float = 1e-13) -> ValidationReport:

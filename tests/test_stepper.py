@@ -31,7 +31,7 @@ from srkweak.stepper import (
     langevin_postprocessed_step,
     step,
 )
-from srkweak.tableau import registry_get
+from srkweak.tableau import registry_get, registry_names, stage_evaluation_order
 
 S3 = math.sqrt(3.0)
 
@@ -194,9 +194,15 @@ def test_batch_matches_scalar_for_implicit_and_strato():
         assert xb[0, 0] == pytest.approx(xs0[0], rel=1e-12), name
 
 
-def test_implicit_stage_solution_matches_direct_linear_solve():
+IMPLICIT_METHODS = tuple(
+    n for n in registry_names() if stage_evaluation_order(registry_get(n)) is None
+)
+
+
+@pytest.mark.parametrize("name", IMPLICIT_METHODS)
+def test_implicit_stage_solution_matches_direct_linear_solve(name):
     # linear scalar problem: stage equations are linear, solve them directly
-    t = registry_get("ItoImplicit12")
+    t = registry_get(name)
     a_lin, b_lin = -0.7, 0.4
     x0, h = 0.9, 0.05
     fam = family_for_method(t)
@@ -205,6 +211,9 @@ def test_implicit_stage_solution_matches_direct_linear_solve():
     n = s1 + s2
     K = np.zeros((n, n))
     th01, th10, th11 = draw.Theta[0, 1], draw.Theta[1, 0], draw.Theta[1, 1]
+    # at m = 1 the only stochastic entry is the diagonal q = p, which
+    # Stratonovich methods read from Bhat1
+    B_diag = t.Bhat1 if t.calculus == STRATONOVICH else t.B1
     sqh = math.sqrt(h)
     for i in range(s1):
         for j in range(s1):
@@ -215,24 +224,39 @@ def test_implicit_stage_solution_matches_direct_linear_solve():
         for j in range(s1):
             K[s1 + i, j] += h * a_lin * t.A1[i, j] * th10
         for j in range(s2):
-            K[s1 + i, s1 + j] += sqh * b_lin * t.B1[i, j] * th11
+            K[s1 + i, s1 + j] += sqh * b_lin * B_diag[i, j] * th11
     stages = np.linalg.solve(np.eye(n) - K, np.full(n, x0))
     expected = (
         x0
         + h * a_lin * float(t.alpha @ stages[:s1])
         + sqh * draw.theta[1] * b_lin * float(t.beta @ stages[s1:])
     )
-    prob = SdeProblem(1, 1, ITO, [lambda x: a_lin * x, lambda x: b_lin * x])
+    prob = SdeProblem(1, 1, t.calculus, [lambda x: a_lin * x, lambda x: b_lin * x])
     got = step(prob, t, np.array([x0]), h, draw)[0]
     assert got == pytest.approx(expected, abs=1e-12 * (1 + abs(x0)))
 
 
-def test_implicit_divergence_raises():
-    t = registry_get("ItoImplicit12")
-    prob = SdeProblem(1, 1, ITO, [lambda x: 50.0 * x, lambda x: np.zeros_like(x)])
+@pytest.mark.parametrize("name", IMPLICIT_METHODS)
+def test_implicit_divergence_raises(name):
+    # every cyclic block diverges; some overflow to inf and then NaN, which
+    # must fail the stopping test rather than pass it
+    t = registry_get(name)
+    prob = SdeProblem(1, 1, t.calculus, [lambda x: 50.0 * x, lambda x: 50.0 * x])
     draw = sample_draw(family_for_method(t), 1, np.random.default_rng(11))
-    with pytest.raises(ImplicitSolveError):
-        step(prob, t, np.array([1.0]), 1.0, draw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ImplicitSolveError, match="stage block"):
+            step(prob, t, np.array([1.0]), 1.0, draw)
+
+
+def test_block_solve_evaluates_explicit_stages_once():
+    # ItoDIRKEX is s0 | d0 (cyclic) | s1: only the drift stage is iterated,
+    # so each step makes exactly s2 = 2 diffusion evaluations
+    t = registry_get("ItoDIRKEX")
+    setup = make_problem("sinh1d")
+    prob = setup.make()
+    integrate_paths(prob, t, setup.x0, 2.0**-4, 16, 5, np.random.default_rng(3))
+    assert prob.diffusion_evals.tolist() == [t.s2 * 16]
+    assert prob.drift_evals > 16  # the drift block takes several sweeps
 
 
 def _affine_pair(problem, M, bvec):
@@ -433,7 +457,7 @@ def test_batch_matches_sequential_with_mixed_noises(name):
 PINNED_SINH1D = {  # integrate_paths on sinh1d, h = 1/16, 8 steps, 3 paths, seed 2024
     "BDK2": ["-0x1.cbae6dcca43c8p-4", "0x1.daf14da1488b5p+0", "0x1.3c524410ac12dp-3"],
     "EulerMaruyama": ["-0x1.a865c62eb1a20p-4", "0x1.b1f9d71a7d0d7p+0", "0x1.21dc89cb6aa5ep-3"],
-    "ItoDIRKEX": ["0x1.f07d0357f3ee2p+1", "0x1.d2ec711186b50p-2", "0x1.092af5f56dfeep-1"],
+    "ItoDIRKEX": ["0x1.f07d0357f3e5bp+1", "0x1.d2ec711186b48p-2", "0x1.092af5f56dfd2p-1"],
 }
 
 

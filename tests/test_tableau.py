@@ -21,6 +21,7 @@ from srkweak.tableau import (
     registry_get,
     registry_names,
     save_method,
+    stage_blocks,
     stage_evaluation_order,
     tableau_from_dict,
     tableau_to_dict,
@@ -198,6 +199,34 @@ def test_stage_evaluation_order_pinned():
     for name, want in PINNED_STAGE_ORDERS.items():
         order = stage_evaluation_order(registry_get(name))
         got = None if order is None else " ".join(kind[0] + str(i) for kind, i in order)
+        assert got == want, name
+
+
+PINNED_STAGE_BLOCKS = {  # blocks in order, "(c)" marks a cyclic one
+    "BDK1": "d0 | s0 | d1 | s1",
+    "BDK2": "d0 | s0 | d1 | d2 | s1",
+    "BDK3": "d0 | s0 | d1 | d2 | s1",
+    "ItoImplicit12": "s0 (c) | d0 (c) | s1 (c)",
+    "StratoExplicit24": "d0 | s0 | s1 | d1 | s2 | s3",
+    "StratoImplicit12": "d0 s0 s1 (c)",
+    "StratoDetOrder3": "s0 | d0 | d1 | s1 | s2 | s3 | d2",
+    "ItoDIRKEX": "s0 | d0 (c) | s1",
+    "ItoEXDIRK": "d0 | s0 (c) | d1 | s1 (c)",
+    "StratoDIRKEX": "s0 | s1 | d0 (c) | s2 | s3",
+    "StratoEXDIRK": "d0 | s0 (c) | d1 | s1 (c) | s2 (c)",
+    "StratoDIRK": "s0 (c) | d0 (c) | s1 (c) | s2 (c)",
+    "EulerMaruyama": "d0 | s0",
+}
+
+
+def test_stage_blocks_pinned():
+    assert set(PINNED_STAGE_BLOCKS) == set(registry_names())
+    for name, want in PINNED_STAGE_BLOCKS.items():
+        blocks = stage_blocks(registry_get(name))
+        got = " | ".join(
+            " ".join(kind[0] + str(i) for kind, i in nodes) + (" (c)" if cyclic else "")
+            for nodes, cyclic in blocks
+        )
         assert got == want, name
 
 
