@@ -917,6 +917,14 @@ def _contraction_plan(f: DecoratedForest, noise_labels: tuple | None):
     return m, tuple(monomial), tuple((r, dec[r] != 0) for r in roots), post_order
 
 
+@lru_cache(maxsize=None)
+def _ones(n: int) -> np.ndarray:
+    """A shared read-only vector of ``n`` ones, the weight of every leaf."""
+    ones = np.ones(n)
+    ones.setflags(write=False)
+    return ones
+
+
 def rk_coefficient_map(tableau, f: DecoratedForest, noise_labels: Sequence[int] | None = None) -> float:
     """Coefficient of a method tableau on a decorated forest.
 
@@ -932,7 +940,8 @@ def rk_coefficient_map(tableau, f: DecoratedForest, noise_labels: Sequence[int] 
     The stage sum is contracted bottom-up: each node's weight vector is the
     elementwise product over its children c of ``M_c @ w_c`` (all ones at a
     leaf), and the sum is the product over roots of ``alpha @ w`` or
-    ``beta @ w``.
+    ``beta @ w``.  A leaf reads a shared ones vector and an inner node starts
+    from its first child's product, so no node allocates a vector of its own.
     """
     if not f.trees:
         return 1.0
@@ -953,8 +962,12 @@ def rk_coefficient_map(tableau, f: DecoratedForest, noise_labels: Sequence[int] 
     }
     w = {}
     for v, stochastic, children in post_order:
-        vec = np.ones(tableau.s2 if stochastic else tableau.s1)
-        for c, block in children:
+        if not children:
+            w[v] = _ones(tableau.s2 if stochastic else tableau.s1)
+            continue
+        (c, block), *rest = children
+        vec = blocks[block] @ w[c]
+        for c, block in rest:
             vec *= blocks[block] @ w[c]
         w[v] = vec
     total = 1.0

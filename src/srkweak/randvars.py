@@ -28,7 +28,8 @@ batch; the values do not depend on the storage order.
 The sample space is finite, so every moment is available exactly through
 :func:`enumerate_atoms` / :func:`moment`: an atom table holds the
 probabilities, theta and Theta of all atoms as arrays, and a moment is one
-weighted sum over their columns.  The expectation checks elsewhere use
+weighted sum over their columns, memoized on the table it was computed from.
+The expectation checks elsewhere use
 tolerance 1e-12 because the support points involve ``sqrt(3)`` arithmetic.
 
 Families and atom tables are immutable and shareable; :func:`sample_draw`
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
@@ -168,6 +169,9 @@ class AtomTable:
 
     Row k of ``probs`` (N,), ``theta`` (N, m+1) and ``Theta`` (N, m+1, m+1)
     is atom k: its probability, its generators theta and its matrix Theta.
+    ``_moments`` memoizes :func:`moment` on this table, keyed by the
+    monomial as a tuple of tuples; it lives and dies with the table, so
+    whatever bounds the atom cache bounds it too.
     """
 
     m: int
@@ -175,6 +179,7 @@ class AtomTable:
     probs: np.ndarray
     theta: np.ndarray
     Theta: np.ndarray
+    _moments: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def atoms(self) -> tuple:
@@ -368,22 +373,31 @@ def moment(family: RvFamily, m: int, monomial: Iterable) -> float:
 
     ``monomial`` is an iterable of ``(factor, exponent)`` pairs with factor
     ``("theta", p)`` or ``("Theta", p, q)``; indices must not exceed ``m``.
-    Every factor is validated before any arithmetic; the expectation is one
-    weighted sum over the columns of the atom table.
+    The expectation is one weighted sum over the columns of the atom table,
+    memoized on that table: a repeated monomial returns the stored float.
+    Every factor of a new monomial is validated before any arithmetic.
     """
-    monomial = list(monomial)
-    for factor, _ in monomial:
+    table = enumerate_atoms(family, m)
+    key = tuple(monomial)  # a tuple is its own key, so a hit allocates nothing
+    try:
+        value = table._moments.get(key)
+    except TypeError:  # factors passed as lists
+        key = tuple([(tuple(factor), exponent) for factor, exponent in key])
+        value = table._moments.get(key)
+    if value is not None:
+        return value
+    for factor, _ in key:
         kind, indices = factor[0], factor[1:]
         if _FACTOR_ARITY.get(kind) != len(indices):
             raise ValueError(f"unknown factor {factor!r}: expected ('theta', p) or ('Theta', p, q)")
         if any(not 0 <= i <= m for i in indices):
             raise ValueError(f"factor {factor!r} references a noise index beyond m={m}")
-    table = enumerate_atoms(family, m)
     value = table.probs
-    for factor, exponent in monomial:
+    for factor, exponent in key:
         if factor[0] == "theta":
             column = table.theta[:, factor[1]]
         else:
             column = table.Theta[:, factor[1], factor[2]]
         value = value * column**exponent
-    return float(value.sum())
+    value = table._moments[key] = float(value.sum())
+    return value

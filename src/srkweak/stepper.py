@@ -50,7 +50,7 @@ import numpy as np
 
 from . import randvars
 from .randvars import ITO, STRATONOVICH, NoiseDraw, RvFamily
-from .tableau import MethodTableau, stage_blocks
+from .tableau import MethodTableau, mixes_read, stage_blocks
 
 __all__ = [
     "SdeProblem",
@@ -143,7 +143,7 @@ def _weighted_sum(w, F):
     return out
 
 
-def _mix(coefficients, F, strato):
+def _mix(coefficients, F, strato, want_U, want_V):
     """Combine the stage values F = f^q(H_j^q), shape (m, n, d), with Theta.
 
     Returns U = sum_q Theta[0][q] F_q, shape (n, d), and V of shape (m, n, d)
@@ -151,14 +151,17 @@ def _mix(coefficients, F, strato):
     diagonal q = p is left out, since it enters through Bhat1.  The mixed
     entries are theta_q (1 +- eta_0), so running exclusive suffix and prefix
     sums over the contiguous noise rows give every row in O(m).  They add in
-    the order of a ``cumsum`` along the noise axis.
+    the order of a ``cumsum`` along the noise axis.  A mix that is not
+    wanted is returned as None.
     """
     row0, _, diag, up, low = coefficients
-    U = _weighted_sum(row0, F)
+    U = _weighted_sum(row0, F) if want_U else None
+    if not want_V:
+        return U, None
     V = np.zeros_like(F) if strato else diag[:, :, None] * F
     if up is not None:
         m = len(F)
-        acc, term = np.empty_like(U), np.empty_like(U)
+        acc, term = np.empty_like(F[0]), np.empty_like(F[0])
         np.multiply(up[m - 1, :, None], F[m - 1], out=acc)
         for p in range(m - 2, -1, -1):  # row p gets sum_{q > p} up_q F_q
             V[p] += acc
@@ -180,12 +183,15 @@ def _stage_terms(problem, t, xb, h, coefficients):
     shape (n, d); Fst[j] holds f^q at stochastic stage j in row q - 1,
     shape (m, n, d).  The stage blocks of :func:`tableau.stage_blocks` are
     taken in order: a block that does not read itself is evaluated once, a
-    cyclic one is solved by fixed-point iteration on its own stages.
+    cyclic one is solved by fixed-point iteration on its own stages.  A
+    stochastic stage's mixes U and V are formed only where a stage reads
+    them (:func:`tableau.mixes_read`).
     """
     m = problem.m
     sqh = math.sqrt(h)
     strato = t.calculus == STRATONOVICH
     _, Thp0, Th_diag, _, _ = coefficients
+    reads_U, reads_V = mixes_read(t)
 
     F0 = [None] * t.s1
     Fst = [None] * t.s2
@@ -227,7 +233,8 @@ def _stage_terms(problem, t, xb, h, coefficients):
         Fst[i] = np.empty_like(H)
         for p in range(m):
             Fst[i][p] = problem.eval_field(p + 1, H[p])
-        U[i], V[i] = _mix(coefficients, Fst[i], strato)
+        if reads_U[i] or reads_V[i]:
+            U[i], V[i] = _mix(coefficients, Fst[i], strato, reads_U[i], reads_V[i])
 
     for nodes, cyclic in stage_blocks(t):
         if not cyclic:

@@ -22,6 +22,7 @@ rational a, b and integer k (e.g. "3/5-1/10*sqrt(6)").
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -44,6 +45,7 @@ __all__ = [
     "validate",
     "stage_blocks",
     "stage_evaluation_order",
+    "mixes_read",
     "registry_names",
     "registry_get",
     "load_method",
@@ -175,9 +177,21 @@ class ValidationReport:
         return [msg for sev, msg in self.findings if sev == "warning"]
 
 
-_BLOCK_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+def _per_tableau(fn):
+    """Memoize ``fn(t)`` for as long as the tableau ``t`` lives."""
+    cache = weakref.WeakKeyDictionary()
+
+    @functools.wraps(fn)
+    def cached(t: MethodTableau):
+        value = cache.get(t)
+        if value is None:
+            value = cache[t] = fn(t)
+        return value
+
+    return cached
 
 
+@_per_tableau
 def stage_blocks(t: MethodTableau) -> tuple:
     """The stage blocks in dependency order: a tuple of (nodes, cyclic).
 
@@ -188,9 +202,6 @@ def stage_blocks(t: MethodTableau) -> tuple:
     needs an implicit solve.  Each block comes after every block it reads;
     among the ready blocks the one with the smallest first node goes first.
     """
-    cached = _BLOCK_CACHE.get(t)
-    if cached is not None:
-        return cached
     size = {"drift": t.s1, "stoch": t.s2}
 
     def refs(block, i, kind):
@@ -216,8 +227,23 @@ def stage_blocks(t: MethodTableau) -> tuple:
         blocks.append((nodes, nodes[0] in reach[nodes[0]]))
         placed.update(nodes)
         pending.remove(nodes)
-    _BLOCK_CACHE[t] = blocks = tuple(blocks)
-    return blocks
+    return tuple(blocks)
+
+
+@_per_tableau
+def mixes_read(t: MethodTableau) -> tuple:
+    """Which mixes of each stochastic stage j some stage reads: ``(U, V)``,
+    one flag per stage each.
+
+    The mix ``U_j = sum_q Theta[0][q] f^q(H_j^q)`` enters drift stages only,
+    through column j of B0, and the rows ``V_j`` enter stochastic stages
+    only, through column j of B1; a mix whose column is zero is never read.
+    The update reads f^q(H_j^q) itself, as does Bhat1.
+    """
+    def read(block):
+        return tuple(bool(np.any(block[:, j : j + 1] != 0.0)) for j in range(t.s2))
+
+    return read(t.B0), read(t.B1)
 
 
 def stage_evaluation_order(t: MethodTableau):

@@ -155,3 +155,84 @@ def test_evaluate_rejects_higher_order_forest():
 
     with pytest.raises(fo.CapacityError):
         evaluate_table_condition(registry_get("BDK1"), parse_forest("[0[0][1][1]]"))
+
+
+# ---------------------------------------------------------------------------
+# table left-hand sides pinned bit for bit (float.hex) across changes to the
+# moment layer and the forest contraction
+
+
+def _fresh_c(base, seed):
+    """``base`` with every block entry scaled by 1 + 0.1 U(-1, 1) and c drawn from (0.05, 0.45)."""
+    rng = np.random.default_rng(seed)
+
+    def jitter(a):
+        return None if a is None else a * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, a.shape))
+
+    blocks = [jitter(getattr(base, k)) for k in ("alpha", "beta", "A0", "B0", "A1", "B1", "Bhat1")]
+    return make_tableau(
+        f"{base.name}~fresh", base.calculus, *blocks, c=rng.uniform(0.05, 0.45),
+        det_order=base.det_order, weak_order=base.weak_order, structure=base.structure,
+    )
+
+
+PINNED_TABLE_LHS = {  # check_all_table lhs row by row; BDK2~fresh is _fresh_c(BDK2, 8), c = 0.2929...
+    "BDK2": [
+        "0x1.ffffffffffffep-1", "0x1.0000000000000p+0", "0x0.0p+0",
+        "0x1.ffffffffffffdp-1", "0x1.fffffffffffffp-1", "0x0.0p+0",
+        "0x1.fffffffffffffp-2", "0x1.fffffffffffffp-2", "0x1.ffffffffffffep-2",
+        "0x0.0p+0", "0x1.0000000000001p+0", "0x0.0p+0",
+        "0x1.0000000000000p-1", "0x1.0000000000001p-1", "0x1.0000000000001p-1",
+        "-0x0.0p+0", "-0x1.8000000000000p-54", "0x0.0p+0",
+        "-0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "-0x1.2000000000000p-55", "-0x0.0p+0",
+        "0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0",
+        "-0x0.0p+0", "0x1.0000000000001p-1", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x1.8000000000001p+1", "0x1.fffffffffffffp-1",
+        "0x1.0000000000000p-1", "0x0.0p+0", "0x1.0000000000000p-1",
+        "-0x1.0000000000000p-53", "-0x0.0p+0", "-0x0.0p+0",
+        "-0x0.0p+0",
+    ],
+    "StratoExplicit24": [
+        "0x1.ffffffffffffep-1", "0x1.ffffffffffffdp-1", "0x1.fffffffffffffp-2",
+        "0x1.ffffffffffffep-1", "0x1.ffffffffffffdp-1", "0x1.fffffffffffffp-2",
+        "0x1.ffffffffffffep-2", "0x1.ffffffffffffep-2", "0x1.fffffffffffffp-2",
+        "0x1.fffffffffffffp-3", "0x1.ffffffffffff9p-1", "0x1.ffffffffffffbp-2",
+        "0x1.ffffffffffffdp-2", "0x1.ffffffffffffap-2", "0x1.ffffffffffffbp-2",
+        "0x1.ffffffffffffcp-3", "0x1.ffffffffffffcp-3", "0x0.0p+0",
+        "0x1.ffffffffffffcp-3", "0x1.fffffffffffffp-3", "0x0.0p+0",
+        "0x1.ffffffffffffdp-3", "0x1.ffffffffffffdp-3", "0x1.ffffffffffffdp-4",
+        "0x1.fffffffffffffp-3", "0x1.ffffffffffffdp-3", "0x1.ffffffffffffdp-3",
+        "0x1.ffffffffffffdp-4", "0x1.ffffffffffffbp-2", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x1.7fffffffffffbp+1", "0x1.7fffffffffffdp+0",
+        "0x1.ffffffffffffbp-1", "0x1.ffffffffffffbp-2", "0x1.7fffffffffffep-1",
+        "0x1.7fffffffffffep-1", "0x1.7fffffffffffep-2", "0x1.ffffffffffffdp-3",
+        "0x1.ffffffffffffdp-4",
+    ],
+    "BDK2~fresh": [
+        "0x1.0d9bdf7bba503p+0", "0x1.27474a1e6f11ep+0", "0x0.0p+0",
+        "0x1.1bf0f29268790p+0", "0x1.36f9b2d1aada8p+0", "0x0.0p+0",
+        "0x1.f0e07524ac2f8p-2", "0x1.164f8507d98cdp-1", "0x1.b6068bdd628f4p-1",
+        "-0x0.0p+0", "0x1.549560ac56528p+0", "0x0.0p+0",
+        "0x1.1a8f20f78c304p-1", "0x1.4486c1ad01d45p-1", "0x1.3539ef328cc49p-1",
+        "-0x0.0p+0", "-0x1.cfd6e6cbd326cp-54", "0x0.0p+0",
+        "-0x0.0p+0", "0x1.0d3cd313f5973p-55", "0x0.0p+0",
+        "0x0.0p+0", "-0x1.4b7a7efcf2957p-55", "-0x0.0p+0",
+        "0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0",
+        "-0x0.0p+0", "0x1.3539ef328cc48p-1", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x1.fee01102817bcp+1", "0x1.4486c1ad01d43p+0",
+        "0x1.3539ef328cc48p-1", "0x0.0p+0", "0x1.3539ef328cc47p-1",
+        "-0x1.26a5c6362cf6ap-53", "-0x0.0p+0", "-0x0.0p+0",
+        "-0x0.0p+0",
+    ],
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_TABLE_LHS))
+def test_table_lhs_are_pinned(key):
+    name = key.split("~")[0]
+    t = _fresh_c(registry_get(name), 8) if key.endswith("~fresh") else registry_get(name)
+    assert [rec.lhs.hex() for rec in check_all_table(t).records] == PINNED_TABLE_LHS[key]

@@ -1,13 +1,16 @@
 """Tests for the discrete random-variable families."""
 
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from srkweak import conditions, randvars
 from srkweak.randvars import (
     ITO,
     STRATONOVICH,
@@ -21,6 +24,7 @@ from srkweak.randvars import (
     moment,
     sample_draw,
 )
+from srkweak.tableau import make_tableau, registry_get, registry_names
 
 S3 = math.sqrt(3.0)
 
@@ -371,3 +375,98 @@ def test_atom_tables_of_fresh_c_stay_small():
     # six (calculus, c) pairs, under 24 KiB each for m = 1 and m = 2 together
     assert held < 6 * 24 * 1024
 
+
+
+# ---------------------------------------------------------------------------
+# moments memoized on their atom table
+
+
+def _weighted_sum(table, monomial):
+    value = table.probs
+    for factor, exponent in monomial:
+        column = table.theta[:, factor[1]] if factor[0] == "theta" else table.Theta[:, factor[1], factor[2]]
+        value = value * column**exponent
+    return float(value.sum())
+
+
+def _order_condition_tableaux():
+    """One tableau per registered family, plus BDK2 and StratoExplicit24 at two fresh c."""
+    by_family = {}
+    for name in registry_names():
+        t = registry_get(name)
+        by_family.setdefault((t.calculus, t.c), t)
+    tableaux = list(by_family.values())
+    for base in (registry_get("BDK2"), registry_get("StratoExplicit24")):
+        for c in (0.1234567, 0.3456789):
+            blocks = [getattr(base, k) for k in ("alpha", "beta", "A0", "B0", "A1", "B1", "Bhat1")]
+            tableaux.append(
+                make_tableau(base.name, base.calculus, *blocks, c=c, det_order=base.det_order,
+                             weak_order=base.weak_order, structure=base.structure)
+            )
+    return tableaux
+
+
+def test_memoized_moments_equal_the_weighted_sum_on_miss_and_hit(monkeypatch):
+    calls = []
+
+    def recording_moment(family, m, monomial):
+        calls.append((family, m, monomial))
+        return moment(family, m, monomial)
+
+    monkeypatch.setattr(randvars, "moment", recording_moment)
+    for t in _order_condition_tableaux():
+        conditions.check_all_table(t)
+        conditions.check_reduced(t)
+    monkeypatch.undo()
+    assert len({(f.calculus, f.c) for f, _, _ in calls}) == 9
+    # fresh tables, so each monomial's first call is a miss
+    monkeypatch.setattr(randvars, "_ATOM_CACHE", {})
+    for family, m, monomial in calls:
+        table = enumerate_atoms(family, m)
+        key = tuple(monomial)
+        first = moment(family, m, monomial)
+        assert table._moments[key] == first
+        assert moment(family, m, monomial) == first == _weighted_sum(table, monomial)
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [((("bogus", 1), 1), "unknown factor"), ((("Theta", 1), 1), "unknown factor"),
+     ((("theta", 3), 1), "beyond m=2"), ((("Theta", 1, 3), 1), "beyond m=2")],
+)
+def test_memo_still_validates_a_new_monomial_with_a_cached_prefix(bad, match):
+    f = fam(ITO, 0.2)
+    prefix = [(("theta", 1), 2), (("Theta", 1, 2), 1)]
+    moment(f, 2, prefix)
+    with pytest.raises(ValueError, match=match):
+        moment(f, 2, prefix + [bad])
+    with pytest.raises(ValueError, match=match):
+        moment(f, 2, [bad])
+
+
+def test_memo_is_per_noise_count():
+    f = fam(STRATONOVICH, 0.2)
+    assert moment(f, 2, [(("theta", 2), 2)]) == pytest.approx(1.0, abs=1e-13)
+    with pytest.raises(ValueError, match="beyond m=1"):
+        moment(f, 1, [(("theta", 2), 2)])
+
+
+def test_memo_accepts_factors_passed_as_lists():
+    f = fam(ITO, 0.5)
+    as_lists = moment(f, 2, [[["theta", 1], 2], [["Theta", 0, 2], 2]])
+    assert moment(f, 2, ((("theta", 1), 2), (("Theta", 0, 2), 2))) == as_lists
+    assert moment(f, 2, iter([(["theta", 1], 2), (["Theta", 0, 2], 2)])) == as_lists
+
+
+def test_memo_lives_and_dies_with_its_table():
+    f = fam(ITO, 0.2468)
+    table = enumerate_atoms(f, 1)
+    moment(f, 1, [(("theta", 1), 4)])
+    assert len(table._moments) == 1
+    ref = weakref.ref(table)
+    (key,) = [k for k, v in randvars._ATOM_CACHE.items() if v is table]
+    del table, randvars._ATOM_CACHE[key]
+    gc.collect()
+    # the memo is an attribute of the table, so it is freed with it
+    assert ref() is None
+    assert moment(f, 1, [(("theta", 1), 4)]) == pytest.approx(3.0, abs=1e-12)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from srkweak import stepper
 from srkweak.harness import invariant_setup, make_problem
 from srkweak.randvars import (
     ITO,
@@ -163,7 +164,8 @@ def test_step_argument_checks():
 def test_nonfinite_state_raises_with_context():
     t = registry_get("BDK1")
     prob = SdeProblem(1, 1, ITO, [lambda x: x * 1e200, lambda x: np.zeros_like(x)])
-    with pytest.raises(NonFiniteStateError) as err:
+    # the drift overflows to inf, which is what the check must catch
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NonFiniteStateError) as err:
         integrate_path(prob, t, np.array([1.0]), 1.0, 3, np.random.default_rng(7))
     assert err.value.method == "BDK1"
     assert err.value.where is not None
@@ -390,7 +392,13 @@ def test_structured_mixing_matches_dense_einsum(calculus, c, m):
     theta, eta = draws_from_uniforms(fam, m, rng.random((n, fam.rv_count(m))))
     F = rng.standard_normal((m, n, d))
     strato = calculus == STRATONOVICH
-    U, V = _mix(mixing_coefficients(fam, theta, eta), F, strato)
+    coefficients = mixing_coefficients(fam, theta, eta)
+    U, V = _mix(coefficients, F, strato, True, True)
+    # a mix formed alone is the same array, and the one not wanted is None
+    U_alone, no_V = _mix(coefficients, F, strato, True, False)
+    no_U, V_alone = _mix(coefficients, F, strato, False, True)
+    assert no_U is None and no_V is None
+    assert np.array_equal(U_alone, U) and np.array_equal(V_alone, V)
     Theta = dense_theta(fam, theta, eta)
     Thpq = Theta[:, 1:, 1:].copy()
     if strato:
@@ -400,6 +408,23 @@ def test_structured_mixing_matches_dense_einsum(calculus, c, m):
         want = np.einsum(subscripts, coef, F)
         scale = np.einsum(subscripts, np.abs(coef), np.abs(F))
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("name,mixes_per_step", [("BDK2", 1), ("EulerMaruyama", 0)])
+def test_only_mixes_that_a_stage_reads_are_formed(monkeypatch, name, mixes_per_step):
+    # BDK2's second stochastic stage enters only the update, through beta, and
+    # Euler-Maruyama's one stage too, so neither is mixed
+    calls = []
+
+    def counting_mix(*args):
+        calls.append(args[3:])
+        return _mix(*args)
+
+    monkeypatch.setattr(stepper, "_mix", counting_mix)
+    setup = make_problem("sinh1d")
+    integrate_paths(setup.make(), registry_get(name), setup.x0, 0.25, 4, 3, np.random.default_rng(0))
+    assert len(calls) == 4 * mixes_per_step
+    assert all(wanted == (True, True) for wanted in calls)
 
 
 @pytest.mark.parametrize("calculus,c", MIX_FAMILIES)
