@@ -58,6 +58,8 @@ def _cmd_converge(args) -> int:
     setup = harness.make_problem(args.problem)
     method = _get_method(args.method)
     h_list = [float(tok) for tok in args.h.split(",")]
+    if len(h_list) < 2:
+        raise ValueError("--h needs at least two step sizes for a slope")
     table = harness.run_convergence(setup, method, h_list, args.batches, args.paths, args.seed)
     if args.out:
         harness.table_to_csv(table, args.out, setup)
@@ -208,8 +210,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; bad input (an unknown name, an invalid value, a
+    missing or malformed method file) prints one ``srkweak: error:`` line and
+    returns 2, as argparse does for a malformed command line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (KeyError, ValueError, FileNotFoundError) as exc:
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"srkweak: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -90,9 +90,19 @@ def _adjacency(nodes, edges):
     return parent, children, [v for v in nodes if v not in parent]
 
 
-def _encode_tree(v, children, dec, relabel):
-    kids = tuple(sorted(_encode_tree(c, children, dec, relabel) for c in children[v]))
-    return (relabel[dec[v]], kids)
+def _encode_tree(v, children, dec):
+    return (dec[v], tuple(sorted(_encode_tree(c, children, dec) for c in children[v])))
+
+
+def _relabelled(trees, relabel) -> tuple:
+    """Encoded trees with every decoration d replaced by ``relabel[d]``, re-sorted."""
+    return tuple(sorted((relabel[d], _relabelled(kids, relabel)) for d, kids in trees))
+
+
+def _label_permutations(labels):
+    """Every bijection of ``labels`` onto 1..len(labels) as a relabel map fixing 0."""
+    for perm in itertools.permutations(range(1, len(labels) + 1)):
+        yield {0: 0, **dict(zip(labels, perm))}
 
 
 def _canonical_trees(nodes, edges, decoration):
@@ -130,15 +140,8 @@ def _canonical_trees(nodes, edges, decoration):
             raise ForestError(f"decoration class {label} has odd size {size}")
 
     _, children, roots = _adjacency(nodes, parent.items())
-    labels = sorted(class_sizes)
-    best = None
-    for perm in itertools.permutations(range(1, len(labels) + 1)):
-        relabel = {0: 0}
-        relabel.update(dict(zip(labels, perm)))
-        key = tuple(sorted(_encode_tree(r, children, dec, relabel) for r in roots))
-        if best is None or key < best:
-            best = key
-    return best if best is not None else ()
+    encoded = [_encode_tree(r, children, dec) for r in roots]
+    return min(_relabelled(encoded, relabel) for relabel in _label_permutations(sorted(class_sizes)))
 
 
 @dataclass(frozen=True)
@@ -304,33 +307,37 @@ def _forest_shapes(n: int) -> tuple:
     return tuple(sorted(out))
 
 
+def _decoration_strings(n: int) -> list:
+    """Decorations of n nodes up to relabelling, every nonzero class even.
+
+    Nonzero labels first occur in the order 1, 2, ... (restricted growth), so
+    each decoration is listed once per relabelling class.
+    """
+    strings = [()]
+    for _ in range(n):
+        strings = [s + (d,) for s in strings for d in range(max(s, default=0) + 2)]
+    return [s for s in strings if all(s.count(d) % 2 == 0 for d in s if d)]
+
+
 @lru_cache(maxsize=None)
 def enumerate_forests(max_order: int, exotic_only: bool = False) -> tuple:
     """All decorated forests with 1 <= order <= max_order, sorted by (order, key).
 
     With ``exotic_only`` the result is restricted to exotic forests.  Supported
-    up to order 3; the enumeration is cross-checked against the known counts
-    at order <= 2 by the test suite.
+    up to order 3; the test suite pins the counts at every supported order.
     """
     if max_order > MAX_ORDER:
         raise CapacityError(f"forest enumeration supports order <= {MAX_ORDER}")
     found = set()
     for n in range(1, 2 * max_order + 1):
+        # a forest's order is (nodes + black nodes) / 2
+        decorations = [s for s in _decoration_strings(n) if n + s.count(0) <= 2 * max_order]
         for shape in _forest_shapes(n):
-            if not shape:
-                continue
             nodes, edges, _ = DecoratedForest(shape).graph()
-            max_label = n // 2
-            for decs in itertools.product(range(max_label + 1), repeat=n):
-                sizes = Counter(d for d in decs if d > 0)
-                if any(size % 2 for size in sizes.values()):
-                    continue
-                f = DecoratedForest.from_graph(nodes, edges, dict(enumerate(decs)))
-                if f.order > max_order:
-                    continue
-                if exotic_only and not f.is_exotic:
-                    continue
-                found.add(f)
+            for decs in decorations:
+                f = DecoratedForest.from_graph(nodes, edges, decs)
+                if not exotic_only or f.is_exotic:
+                    found.add(f)
     return tuple(sorted(found, key=lambda f: (f.order, f.trees)))
 
 
@@ -338,53 +345,34 @@ def enumerate_forests(max_order: int, exotic_only: bool = False) -> tuple:
 # symmetry
 
 
-def _structure_code(tree):
-    return tuple(sorted(_structure_code(c) for c in tree[1]))
+def _fixed_automorphisms(trees) -> int:
+    """Automorphisms of encoded trees that keep every decoration label in place.
+
+    Such an automorphism permutes equal sibling subtrees and acts inside each,
+    so k equal siblings t contribute k! * a(t)^k, where a(t) counts the
+    automorphisms of t's children.
+    """
+    count = 1
+    for (_, kids), k in Counter(trees).items():
+        count *= math.factorial(k) * _fixed_automorphisms(kids) ** k
+    return count
 
 
 def symmetry(f: DecoratedForest) -> int:
     """Number of automorphisms of the decorated forest.
 
     An automorphism is a node bijection preserving the edges and mapping the
-    decoration to an equivalent one (nonzero classes may be permuted).
+    decoration to an equivalent one (nonzero classes may be permuted).  Each
+    one induces a permutation of the nonzero labels, and the automorphisms
+    inducing one admissible permutation form a coset of those that fix every
+    label.  So sigma(f) is the label-fixing count times the number of label
+    permutations that map f's canonical trees onto themselves.
     """
-    nodes, edges, dec = f.graph()
-    n = len(nodes)
-    if n == 0:
-        return 1
-    parent = {c: p for c, p in edges}
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        ok = True
-        for v in range(n):
-            pv = parent.get(v)
-            pw = parent.get(perm[v])
-            if (pv is None) != (pw is None) or (pv is not None and perm[pv] != pw):
-                ok = False
-                break
-        if not ok:
-            continue
-        # decoration must map through a label bijection fixing 0
-        relabel: dict = {}
-        image = set()
-        for v in range(n):
-            a, b = dec[v], dec[perm[v]]
-            if (a == 0) != (b == 0):
-                ok = False
-                break
-            if a in relabel:
-                if relabel[a] != b:
-                    ok = False
-                    break
-            else:
-                if b in image:
-                    ok = False
-                    break
-                relabel[a] = b
-                image.add(b)
-        if ok:
-            count += 1
-    return count
+    relabellings = sum(
+        _relabelled(f.trees, relabel) == f.trees
+        for relabel in _label_permutations(sorted(f.decoration_sizes))
+    )
+    return _fixed_automorphisms(f.trees) * relabellings
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +391,7 @@ class ForestSum:
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for forest, coeff in items:
-                coeff = Fraction(coeff)
-                if coeff:
-                    data[forest] = data.get(forest, _ZERO) + coeff
-                    if not data[forest]:
-                        del data[forest]
+                data[forest] = data.get(forest, _ZERO) + Fraction(coeff)
         self._terms = {f: c for f, c in data.items() if c}
 
     @classmethod
@@ -746,8 +730,8 @@ def convolution_exp(l: CoefficientMap, max_order: int) -> CoefficientMap:
     empty = DecoratedForest.empty()
     values: dict = {empty: Fraction(1)}
     power = CoefficientMap({empty: Fraction(1)}, max_order=max_order)
+    lifted = CoefficientMap(l.values, max_order=max_order)
     for n in range(1, max_order + 1):
-        lifted = CoefficientMap(dict(l.values), max_order=max_order)
         power = convolution_product(power, lifted, max_order)
         fact = Fraction(1, math.factorial(n))
         for f in enumerate_forests(max_order, exotic_only=True):
@@ -762,12 +746,12 @@ def convolution_exp(l: CoefficientMap, max_order: int) -> CoefficientMap:
 # decoration refinement and Moebius inversion
 
 
-def _set_partitions(elems, parts: str = "any"):
+def _set_partitions(elems, parts: str):
     """Set partitions of ``elems`` as lists of frozensets.
 
-    ``parts`` restricts the part sizes: ``"any"``, ``"even"`` or ``"pairs"``.
-    The part holding the first element comes first, its other members chosen
-    in ``itertools.combinations`` order.
+    ``parts`` restricts the part sizes: ``"even"`` or ``"pairs"``.  The part
+    holding the first element comes first, its other members chosen in
+    ``itertools.combinations`` order.
     """
     elems = list(elems)
     if not elems:
@@ -775,12 +759,7 @@ def _set_partitions(elems, parts: str = "any"):
         return
     first = elems[0]
     rest = elems[1:]
-    if parts == "pairs":
-        sizes = (1,)
-    elif parts == "even":
-        sizes = range(1, len(rest) + 1, 2)
-    else:
-        sizes = range(len(rest) + 1)
+    sizes = (1,) if parts == "pairs" else range(1, len(rest) + 1, 2)
     for k in sizes:
         for others in itertools.combinations(rest, k):
             part = frozenset((first,) + others)
@@ -819,8 +798,12 @@ def finer_decorations(f: DecoratedForest, exotic_only: bool = False):
 
     A refinement splits each nonzero decoration class into smaller even
     classes (into pairs when ``exotic_only``).  The multiplicity of an output
-    forest is the number of distinct refining decorations producing it; it
-    always equals ``symmetry(f) / symmetry(refined)``.
+    forest is the number of distinct refining decorations producing it.  It
+    equals ``symmetry(f) / symmetry(refined)`` only when every automorphism
+    of ``refined`` maps each class of ``f`` onto a class of ``f``; at order
+    <= 3 exactly then.  Otherwise the count is the right quantity: the 3
+    pairings of the size-4 class of ``[1]·[1]·[1]·[1]·[2]·[2]`` all give
+    ``[1]·[1]·[2]·[2]·[3]·[3]``, and both forests have symmetry 48.
     """
     out = Counter(refined for _, refined in _refinements(f, "pairs" if exotic_only else "even"))
     return sorted(out.items(), key=lambda kv: kv[0].trees)
@@ -829,48 +812,18 @@ def finer_decorations(f: DecoratedForest, exotic_only: bool = False):
 def moebius(fine: DecoratedForest, coarse: DecoratedForest) -> int:
     """Moebius function of the decoration-refinement poset between two forests.
 
-    ``fine`` must refine ``coarse``; the recursion is
-    ``mu(f, f) = 1`` and ``mu(f, c) = -sum_{f <= d < c} mu(f, d)`` over the
-    intermediate decorations of a fixed representative of ``coarse``.
+    ``fine`` must refine ``coarse``.  Fix a representative of ``coarse`` and
+    the refinement of it that gives ``fine``; the decorations between them
+    merge fine parts within each coarse class, and any union of even parts is
+    even, so the interval is the product over coarse classes of the
+    partition lattices of their fine parts.  The Moebius function of a
+    product is the product of the factors', and that of the partition
+    lattice of k elements is ``(-1)^(k-1) (k-1)!``.
     """
     match = next((combo for combo, refined in _refinements(coarse, "even") if refined == fine), None)
     if match is None:
         raise PosetError("first forest does not refine the second")
-
-    # poset element: per class, a partition of that class's fine parts
-    bottom = tuple(frozenset(frozenset((p,)) for p in parts) for parts in match)
-    top = tuple(frozenset((frozenset(parts),)) for parts in match)
-
-    def refinements_below(elem):
-        per_class = []
-        for blocks in elem:
-            choices = []
-            for block_partition in itertools.product(
-                *[list(_set_partitions(sorted(block, key=sorted))) for block in sorted(blocks, key=sorted)]
-            ):
-                merged = frozenset(
-                    frozenset(part) for parts in block_partition for part in parts
-                )
-                choices.append(merged)
-            per_class.append(sorted(set(choices), key=sorted))
-        for combo in itertools.product(*per_class):
-            yield tuple(combo)
-
-    memo: dict = {}
-
-    def mu_of(elem):
-        if elem == bottom:
-            return 1
-        if elem in memo:
-            return memo[elem]
-        total = 0
-        for below in refinements_below(elem):
-            if below != elem:
-                total -= mu_of(below)
-        memo[elem] = total
-        return total
-
-    return mu_of(top)
+    return math.prod((-1) ** (len(parts) - 1) * math.factorial(len(parts) - 1) for parts in match)
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,8 @@ def run_convergence(
     h_list = list(h_list)
     if any(h2 >= h1 for h1, h2 in zip(h_list, h_list[1:])):
         raise ValueError("step sizes must be strictly decreasing")
+    for h in h_list:  # reject every step size before simulating any
+        _steps_for(setup.T, h)
     table = ConvergenceTable(method=method.name, problem=setup.name)
     for i, h in enumerate(h_list):
         table.records.append(

@@ -640,15 +640,17 @@ def registry_get(name: str) -> MethodTableau:
 # ---------------------------------------------------------------------------
 # file I/O
 
+# [a ±] [b *] sqrt(k): ``a`` only when a sign follows it, so a lone
+# ``b*sqrt(k)`` binds its coefficient to the root
 _SQRT_TERM = re.compile(
-    r"^\s*(?P<a>[+-]?\d+(?:/\d+)?)?\s*"
-    r"(?:(?P<sign>[+-])?\s*(?P<b>\d+(?:/\d+)?)?\s*\*?\s*sqrt\(\s*(?P<k>\d+)\s*\))?\s*$"
+    r"^\s*(?:(?P<a>[+-]?\d+(?:/\d+)?)\s*(?=[+-]))?"
+    r"(?P<sign>[+-])?\s*(?:(?P<b>\d+(?:/\d+)?)\s*\*?\s*)?sqrt\(\s*(?P<k>\d+)\s*\)\s*$"
 )
 
 
 def _parse_entry(value) -> float:
-    """A tableau entry: a JSON number, or a string 'a+b*sqrt(k)' with rational a, b."""
-    if isinstance(value, (int, float)):
+    """A tableau entry: a JSON number, or a string '[a±][b*]sqrt(k)' with rational a, b."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if not isinstance(value, str):
         raise TableauFileError(f"tableau entry must be number or string, got {value!r}")
@@ -658,7 +660,7 @@ def _parse_entry(value) -> float:
     except ValueError:
         pass
     match = _SQRT_TERM.match(text)
-    if not match or "sqrt" not in text:
+    if not match:
         raise TableauFileError(f"cannot parse tableau entry {value!r}")
     a = Fraction(match.group("a")) if match.group("a") else Fraction(0)
     b = Fraction(match.group("b")) if match.group("b") else Fraction(1)

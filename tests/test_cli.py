@@ -127,3 +127,41 @@ def test_invariant_command(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["second_moment"][0] - 1.0) < 0.15
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "NoSuchMethod"],
+        ["converge", "no_such_problem", "BDK1", "--h", "0.5,0.25"],
+        ["invariant", "--potential", "no_such_potential", "--h", "0.1", "--steps", "10"],
+        ["effort", "BDK1", "--m", "0"],
+        ["check", "MALFORMED"],
+        ["check", "MISSING"],
+    ],
+    ids=["method", "problem", "potential", "effort_m0", "malformed_file", "missing_file"],
+)
+def test_input_errors_print_one_line_and_exit_2(argv, tmp_path, capsys):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"name": "x",')
+    files = {"MALFORMED": str(malformed), "MISSING": str(tmp_path / "missing.json")}
+    assert main([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("srkweak: error: ")
+
+
+@pytest.mark.parametrize(
+    "h,message",
+    [("0.5", "at least two step sizes"), ("0.5,0.3", "not a whole number of steps")],
+)
+def test_converge_rejects_bad_step_sizes_before_simulating(h, message, capsys, monkeypatch):
+    from srkweak import harness
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before rejecting the input")
+
+    monkeypatch.setattr(harness, "integrate_paths", no_simulation)
+    assert main(["converge", "det_exponential", "BDK2", "--h", h]) == 2
+    assert message in capsys.readouterr().err

@@ -149,6 +149,15 @@ def test_enumeration_counts():
         enumerate_forests(4)
 
 
+def test_enumeration_counts_order_three():
+    listing = enumerate_forests(3)
+    exotic = enumerate_forests(3, exotic_only=True)
+    assert len(listing) == 1270
+    assert len(exotic) == 669
+    assert sum(f.order == 3 for f in exotic) == 635
+    assert exotic == tuple(f for f in listing if f.is_exotic)
+
+
 def test_every_capacity_raise_is_the_randvars_error():
     from srkweak import conditions, randvars
 
@@ -167,11 +176,10 @@ def test_every_capacity_raise_is_the_randvars_error():
 
 
 def test_set_partitions_counts_and_part_sizes():
-    # Bell numbers; partitions into even parts; perfect matchings (n - 1)!!
-    assert [len(list(fo._set_partitions(range(n)))) for n in range(6)] == [1, 1, 2, 5, 15, 52]
+    # partitions into even parts; perfect matchings (n - 1)!!
     assert [len(list(fo._set_partitions(range(n), "even"))) for n in (2, 4, 6)] == [1, 4, 31]
     assert [len(list(fo._set_partitions(range(n), "pairs"))) for n in (2, 4, 6)] == [1, 3, 15]
-    allowed = {"any": lambda k: k >= 1, "even": lambda k: k % 2 == 0, "pairs": lambda k: k == 2}
+    allowed = {"even": lambda k: k % 2 == 0, "pairs": lambda k: k == 2}
     for parts, ok in allowed.items():
         seen = set()
         for partition in fo._set_partitions(range(6), parts):
@@ -195,6 +203,12 @@ def test_set_partitions_counts_and_part_sizes():
         ("[1[2]]·[1[2]]", 2),
         ("[1[2]]·[2[1]]", 2),
         ("[0[1][1]]", 2),
+        ("[1]·[1]·[2]·[2]·[3]·[3]", 48),
+        ("[1]·[1[1][1][2][2]]", 4),
+        ("[1[1]]·[2[2]]·[3[3]]", 6),
+        ("[1[2]]·[2[3]]·[3[1]]", 3),
+        ("[0[1][1][2][2]]", 8),
+        ("[0[0][0]]", 2),
     ],
     ids=lambda x: str(x),
 )
@@ -398,6 +412,16 @@ def test_finer_decorations_multiplicity_is_symmetry_ratio():
             assert mult * symmetry(refined) == symmetry(f), (f.text, refined.text)
 
 
+def test_finer_decorations_counts_where_symmetry_ratio_fails():
+    # the 3 pairings of the size-4 class all give one forest, yet both sides
+    # have symmetry 48: swapping a former class-2 pair with a class-1 pair is
+    # an automorphism of the refinement but not of the coarse decoration
+    f = pf("[1]·[1]·[1]·[1]·[2]·[2]")
+    refined = pf("[1]·[1]·[2]·[2]·[3]·[3]")
+    assert dict(finer_decorations(f, exotic_only=True)) == {refined: 3}
+    assert symmetry(f) == symmetry(refined) == 48
+
+
 def test_finer_decorations_includes_trivial_refinement():
     f = pf("[1]·[1]·[1]·[1]")
     got = dict(finer_decorations(f))
@@ -422,6 +446,14 @@ def test_moebius_partition_lattice_of_three_pairs():
     middle = pf("[1]·[1]·[1]·[1]·[2]·[2]")
     assert moebius(fine, middle) == -1
     assert moebius(middle, coarse) == -1
+
+
+def test_moebius_is_a_product_over_coarse_classes():
+    fine = pf("[1]·[1]·[2]·[2]·[3]·[3]·[4]·[4]")
+    # two classes of two pairs each: (-1) * (-1)
+    assert moebius(fine, pf("[1]·[1]·[1]·[1]·[2]·[2]·[2]·[2]")) == 1
+    # one class of four pairs: (-1)^3 * 3!
+    assert moebius(fine, pf("[1]·[1]·[1]·[1]·[1]·[1]·[1]·[1]")) == -6
 
 
 def test_moebius_inversion_brute_force():

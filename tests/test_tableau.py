@@ -304,6 +304,31 @@ def test_sqrt_string_entries(tmp_path):
     assert tableau_from_dict({**tableau_to_dict(registry_get("BDK1")), "c": "1/2"}).c == 0.5
 
 
+@pytest.mark.parametrize(
+    "entry,expected",
+    [
+        ("2*sqrt(3)", 2.0 * S3),
+        ("1/2*sqrt(3)", 0.5 * S3),
+        ("-2*sqrt(3)", -2.0 * S3),
+        ("sqrt(6)", S6),
+        ("1+sqrt(6)", 1.0 + S6),
+        ("3/5-1/10*sqrt(6)", 0.6 - S6 / 10.0),
+        ("3/5+2/5*sqrt(6)", 0.6 + 0.4 * S6),
+        (True, None),
+        (False, None),
+    ],
+    ids=repr,
+)
+def test_tableau_entry_forms(entry, expected):
+    data = tableau_to_dict(registry_get("BDK2"))
+    data["B0"][1][0] = entry
+    if expected is None:
+        with pytest.raises(TableauFileError):
+            tableau_from_dict(data)
+    else:
+        assert tableau_from_dict(data).B0[1, 0] == pytest.approx(expected, abs=1e-15)
+
+
 def test_sqrt_string_rejects_garbage():
     with pytest.raises(TableauFileError):
         tableau_from_dict(
