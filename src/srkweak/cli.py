@@ -19,12 +19,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import conditions, forests, harness
 from .randvars import ITO, STRATONOVICH
 from .stepper import family_for_method
 from .tableau import UnknownMethodError, load_method, registry_get, registry_names
+
+
+_SIGPIPE_STATUS = 128 + 13
 
 
 def _get_method(name: str):
@@ -115,12 +119,12 @@ def _cmd_forests(args) -> int:
                 f"{str(row.target_strat):>6}  {row.description}"
             )
         return 0
-    e_ito = forests.exact_flow_coefficients(ITO, min(args.max_order, 2))
-    e_str = forests.exact_flow_coefficients(STRATONOVICH, min(args.max_order, 2))
     listing = forests.enumerate_forests(args.max_order, exotic_only=args.exotic)
+    e_ito = forests.exact_flow_coefficients(ITO, args.max_order)
+    e_str = forests.exact_flow_coefficients(STRATONOVICH, args.max_order)
     print(f"{'forest':<20} {'order':>5} {'sigma':>5} {'e_ito':>6} {'e_str':>6}  differential")
     for f in listing:
-        if f.order <= 2 and f.is_exotic:
+        if f.is_exotic:
             ei, es = str(e_ito(f)), str(e_str(f))
         else:
             ei = es = "-"
@@ -212,10 +216,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; bad input (an unknown name, an invalid value, a
     missing or malformed method file) prints one ``srkweak: error:`` line and
-    returns 2, as argparse does for a malformed command line."""
+    returns 2, as argparse does for a malformed command line.  Output into a
+    pipe that its reader closed ends the command without a traceback."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe early (``srkweak forests | head``): stop
+        # quietly with the status of a process killed by SIGPIPE, and point
+        # stdout at /dev/null so the interpreter's final flush cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _SIGPIPE_STATUS
     except (KeyError, ValueError, FileNotFoundError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"srkweak: error: {message}", file=sys.stderr)

@@ -4,13 +4,17 @@ Two independent routes are provided:
 
 * :func:`check_all_table` evaluates the full order-two condition table (34
   exotic rows plus 9 single-class decorated rows) by the generic forest rule:
-  each row's left-hand side comes from :func:`srkweak.forests.rk_coefficient_map`
-  as an exact atom-table expectation (one weighted sum over the table's
-  arrays) times the stage sum, contracted bottom-up over the forest with one
-  matrix-vector product per edge.  Each row's target column is regenerated
-  from the exact-flow coefficients of the matching generator (Grossman-Larson
-  exponential, with the decorated rows reduced to exotic refinements); the
-  targets and the row description are computed once, in
+  the table's forests are compiled once into one contraction program
+  (:func:`srkweak.forests.contraction_program`, of which
+  :func:`srkweak.forests.rk_coefficient_map` is the one-forest case), and each
+  row's left-hand side is an exact atom-table expectation times the stage
+  sum.  The expectations of all rows of one noise count come from one pass
+  over the atom table, memoized on it; the stage sums are contracted
+  bottom-up with one matrix-vector product per edge of each distinct subtree,
+  shared by every row that contains it.  Each row's target column is
+  regenerated from the exact-flow coefficients of the matching generator
+  (Grossman-Larson exponential, with the decorated rows reduced to exotic
+  refinements); the targets and the row description are computed once, in
   :func:`condition_table`.  Nothing here is a hand-written contraction formula.
 
 * :func:`check_reduced` evaluates the small algebraic condition systems that
@@ -141,6 +145,12 @@ def condition_table() -> tuple:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _table_program() -> forests.ContractionProgram:
+    """The condition table's forests compiled into one contraction program."""
+    return forests.contraction_program(tuple(row.forest for row in condition_table()))
+
+
 def evaluate_table_condition(t: MethodTableau, forest: DecoratedForest, noise_labels=None) -> float:
     """Left-hand side of one table row for a method: the generic forest rule."""
     if forest.order > 2:
@@ -156,9 +166,8 @@ def check_all_table(
     """Evaluate all 43 order-two condition rows against one target column."""
     calculus = calculus or t.calculus
     report = ConditionReport(method=t.name, calculus=calculus, kind="table")
-    for row in condition_table():
+    for row, lhs in zip(condition_table(), _table_program().evaluate(t)):
         target = row.float_ito if calculus == ITO else row.float_strat
-        lhs = evaluate_table_condition(t, row.forest)
         rec = ConditionRecord(
             id=row.id,
             description=row.description,

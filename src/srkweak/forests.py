@@ -63,6 +63,8 @@ __all__ = [
     "generator_map",
     "exact_flow_coefficients",
     "rk_coefficient_map",
+    "ContractionProgram",
+    "contraction_program",
     "elementary_differential_string",
 ]
 
@@ -830,52 +832,140 @@ def moebius(fine: DecoratedForest, coarse: DecoratedForest) -> int:
 # Runge-Kutta coefficient map and differentials
 
 
-@lru_cache(maxsize=1024)
-def _contraction_plan(f: DecoratedForest, noise_labels: tuple | None):
-    """The tableau-independent part of :func:`rk_coefficient_map` for one forest.
+# The coefficient block of an edge from a parent with noise label p to a
+# child with label q (0 for a drift node); B1_diag joins two nodes of one
+# noise class and reads Bhat1 in Stratonovich calculus.  A blocks act on a
+# drift child, B blocks on a stochastic one.
+def _edge_block(p: int, q: int) -> str:
+    if p == 0:
+        return "A0" if q == 0 else "B0"
+    if q == 0:
+        return "A1"
+    return "B1_diag" if p == q else "B1"
 
-    Returns ``(m, monomial, roots, post_order)``: the noise count, the moment
-    monomial, the roots as ``(node, stochastic)`` and every node as
-    ``(node, stochastic, children)`` in post-order (children before parents),
-    where ``children`` holds ``(child, block)`` pairs naming the coefficient
-    block of the edge: ``"A0"``, ``"B0"``, ``"A1"``, ``"B1"`` or ``"B1_diag"``
-    (a stochastic edge within one noise class, Bhat1 in Stratonovich calculus).
+
+@dataclass(frozen=True, eq=False)
+class ContractionProgram:
+    """A sequence of forests compiled into one tableau-independent contraction.
+
+    ``nodes`` holds the distinct subtrees of all the forests in post-order
+    (children first), each as ``(stochastic, slot, children)``: ``slot`` is
+    its row in the drift or the stochastic weight array, and ``children``
+    lists ``(block, child slot)`` pairs in the order the forest's graph lists
+    them (an A block reads a drift row, a B block a stochastic one).  A
+    subtree shared by several forests, or by one forest twice, is one node.
+    ``roots`` are the distinct root nodes as ``(stochastic, slot)``, and
+    ``root_rows`` gives each row's roots as positions in ``roots``.
+    ``groups`` holds, per noise count, the rows it covers and their moment
+    monomials; the empty forest is in no group and has weight 1.
     """
-    nodes, edges, dec = f.graph()
-    classes = sorted({d for d in dec.values() if d > 0})
-    if noise_labels is None:
-        noise_labels = tuple(range(1, len(classes) + 1))
-    if len(noise_labels) != len(classes):
-        raise ValueError("need one noise label per decoration class")
-    label = {0: 0}
-    label.update(dict(zip(classes, noise_labels)))
-    m = max((1,) + noise_labels)
 
-    _, _, roots = _adjacency(nodes, edges)
-    monomial = [(("theta", label[dec[r]]), 1) for r in roots if label[dec[r]] != 0]
-    children = {v: [] for v in nodes}
-    for child, par in edges:
-        p, q = label[dec[par]], label[dec[child]]
-        if (p, q) != (0, 0):
-            monomial.append((("Theta", p, q), 1))
-        if p == 0:
-            block = "A0" if q == 0 else "B0"
-        elif q == 0:
-            block = "A1"
-        else:
-            block = "B1_diag" if p == q else "B1"
-        children[par].append((child, block))
-    # graph() numbers every node after its parent
-    post_order = tuple((v, dec[v] != 0, tuple(children[v])) for v in reversed(nodes))
-    return m, tuple(monomial), tuple((r, dec[r] != 0) for r in roots), post_order
+    n_drift: int
+    n_stochastic: int
+    nodes: tuple
+    roots: tuple
+    root_rows: tuple
+    groups: tuple
+
+    def evaluate(self, tableau) -> list:
+        """The coefficient of ``tableau`` on every forest, in order, as floats.
+
+        Row i is the product over its roots, left to right, of ``alpha @ w``
+        or ``beta @ w``, times its moment; a row whose moment is zero is 0.0.
+        A node's weight vector ``w`` is the elementwise product over its
+        children c of ``M_c @ w_c`` (all ones at a leaf), formed once per
+        distinct subtree into a preallocated row; the products run in the
+        same order as for a forest on its own, so a row's bits do not depend
+        on the other forests.
+        """
+        family = randvars.RvFamily.make(tableau.calculus, tableau.c)
+        weights = np.ones(len(self.root_rows))  # the empty forest's stays 1
+        for rows, monomials in self.groups:
+            weights[rows] = randvars.expectations(family, monomials)
+        drift, stochastic = w = (np.empty((self.n_drift, tableau.s1)), np.empty((self.n_stochastic, tableau.s2)))
+        edges = {  # block name -> (matrix, the array its child rows live in)
+            "A0": (tableau.A0, drift),
+            "A1": (tableau.A1, drift),
+            "B0": (tableau.B0, stochastic),
+            "B1": (tableau.B1, stochastic),
+            "B1_diag": (tableau.Bhat1 if tableau.calculus == STRATONOVICH else tableau.B1, stochastic),
+        }
+        for is_stochastic, v, children in self.nodes:
+            out = w[is_stochastic][v]
+            if not children:
+                out.fill(1.0)
+                continue
+            (block, c), *rest = children
+            matrix, source = edges[block]
+            np.matmul(matrix, source[c], out=out)
+            for block, c in rest:
+                matrix, source = edges[block]
+                out *= matrix @ source[c]
+        root_values = [
+            float((tableau.beta if is_stochastic else tableau.alpha) @ w[is_stochastic][v])
+            for is_stochastic, v in self.roots
+        ]
+        return [
+            0.0 if weight == 0.0 else math.prod([root_values[k] for k in roots]) * weight
+            for roots, weight in zip(self.root_rows, weights.tolist())
+        ]
 
 
-@lru_cache(maxsize=None)
-def _ones(n: int) -> np.ndarray:
-    """A shared read-only vector of ``n`` ones, the weight of every leaf."""
-    ones = np.ones(n)
-    ones.setflags(write=False)
-    return ones
+@lru_cache(maxsize=1024)
+def contraction_program(forests: tuple, noise_labels: tuple | None = None) -> ContractionProgram:
+    """Compile forests into a :class:`ContractionProgram`, once per argument set.
+
+    Distinct decoration classes of each forest are bound to fixed distinct
+    noise labels (1, 2, ... unless ``noise_labels`` overrides them for every
+    forest).  Each row's moment monomial has one factor ``theta_p`` per
+    stochastic root and one ``Theta[p][q]`` per edge that is not between two
+    drift nodes; the monomials are checked here, once.
+    """
+    slots: dict = {}  # (stochastic, children) -> row in its weight array
+    counts = [0, 0]  # drift and stochastic rows so far
+    nodes, roots, root_rows, by_m = [], {}, [], {}
+    for i, f in enumerate(forests):
+        if not f.trees:
+            root_rows.append(())
+            continue
+        graph_nodes, edges, dec = f.graph()
+        classes = sorted({d for d in dec.values() if d > 0})
+        labels = tuple(range(1, len(classes) + 1)) if noise_labels is None else noise_labels
+        if len(labels) != len(classes):
+            raise ValueError("need one noise label per decoration class")
+        label = {0: 0, **dict(zip(classes, labels))}
+        _, children, tree_roots = _adjacency(graph_nodes, edges)
+        monomial = [("theta", label[dec[r]]) for r in tree_roots if label[dec[r]] != 0]
+        for child, par in edges:
+            if (label[dec[par]], label[dec[child]]) != (0, 0):
+                monomial.append(("Theta", label[dec[par]], label[dec[child]]))
+        rows, monomials = by_m.setdefault(max((1,) + labels), ([], []))
+        rows.append(i)
+        monomials.append(monomial)
+        slot_of = {}  # graph node -> slot of its subtree
+        # graph() numbers every node after its parent
+        for v in reversed(graph_nodes):
+            kids = tuple((_edge_block(label[dec[v]], label[dec[c]]), slot_of[c]) for c in children[v])
+            node = (dec[v] != 0, kids)
+            if node not in slots:
+                slots[node] = counts[node[0]]
+                counts[node[0]] += 1
+                nodes.append((node[0], slots[node], kids))
+            slot_of[v] = slots[node]
+        root_rows.append(tuple(roots.setdefault((dec[r] != 0, slot_of[r]), len(roots)) for r in tree_roots))
+
+    groups = tuple(
+        (np.array(rows, dtype=np.intp), randvars.Monomials(m, monomials))
+        for m, (rows, monomials) in sorted(by_m.items())
+    )
+    return ContractionProgram(
+        n_drift=counts[0],
+        n_stochastic=counts[1],
+        nodes=tuple(nodes),
+        roots=tuple(roots),
+        root_rows=tuple(root_rows),
+        groups=groups,
+    )
 
 
 def rk_coefficient_map(tableau, f: DecoratedForest, noise_labels: Sequence[int] | None = None) -> float:
@@ -888,45 +978,12 @@ def rk_coefficient_map(tableau, f: DecoratedForest, noise_labels: Sequence[int] 
     fixed distinct noise labels (1, 2, ... unless ``noise_labels`` overrides)
     and the expectation is evaluated exactly over the family's atom table.
     The stage contraction and the moment factor separate because the
-    coefficient blocks are deterministic.
-
-    The stage sum is contracted bottom-up: each node's weight vector is the
-    elementwise product over its children c of ``M_c @ w_c`` (all ones at a
-    leaf), and the sum is the product over roots of ``alpha @ w`` or
-    ``beta @ w``.  A leaf reads a shared ones vector and an inner node starts
-    from its first child's product, so no node allocates a vector of its own.
+    coefficient blocks are deterministic.  This is the one-forest case of
+    :func:`contraction_program`.
     """
-    if not f.trees:
-        return 1.0
     if noise_labels is not None:
         noise_labels = tuple(noise_labels)
-    m, monomial, roots, post_order = _contraction_plan(f, noise_labels)
-    family = randvars.RvFamily.make(tableau.calculus, tableau.c)
-    weight = randvars.moment(family, m, monomial)
-    if weight == 0.0:
-        return 0.0
-
-    blocks = {
-        "A0": tableau.A0,
-        "B0": tableau.B0,
-        "A1": tableau.A1,
-        "B1": tableau.B1,
-        "B1_diag": tableau.Bhat1 if tableau.calculus == STRATONOVICH else tableau.B1,
-    }
-    w = {}
-    for v, stochastic, children in post_order:
-        if not children:
-            w[v] = _ones(tableau.s2 if stochastic else tableau.s1)
-            continue
-        (c, block), *rest = children
-        vec = blocks[block] @ w[c]
-        for c, block in rest:
-            vec *= blocks[block] @ w[c]
-        w[v] = vec
-    total = 1.0
-    for r, stochastic in roots:
-        total *= (tableau.beta if stochastic else tableau.alpha) @ w[r]
-    return float(total * weight)
+    return contraction_program((f,), noise_labels).evaluate(tableau)[0]
 
 
 _ROOT_LETTERS = "ijklabc"

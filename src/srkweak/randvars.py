@@ -26,11 +26,15 @@ transposed (Fortran-order) views, so each noise is a contiguous row of the
 batch; the values do not depend on the storage order.
 
 The sample space is finite, so every moment is available exactly through
-:func:`enumerate_atoms` / :func:`moment`: an atom table holds the
-probabilities, theta and Theta of all atoms as arrays, and a moment is one
-weighted sum over their columns, memoized on the table it was computed from.
-The expectation checks elsewhere use
-tolerance 1e-12 because the support points involve ``sqrt(3)`` arithmetic.
+:func:`enumerate_atoms`: an atom table holds the probabilities of all atoms
+and every theta and Theta entry as one contiguous column per entry.  One
+kernel gives exact moments: a set of monomials (:class:`Monomials`, checked
+once when built) is one pass over the table that starts from the
+probabilities, multiplies in the factor columns position by position and
+sums each row, and :func:`expectations` memoizes that row on the table it
+read.  :func:`moment` is the one-monomial case, memoized the same way.  The
+expectation checks elsewhere use tolerance 1e-12 because the support points
+involve ``sqrt(3)`` arithmetic.
 
 Families and atom tables are immutable and shareable; :func:`sample_draw`
 requires exclusive access to its generator stream.
@@ -62,6 +66,8 @@ __all__ = [
     "sample_draw",
     "enumerate_atoms",
     "moment",
+    "Monomials",
+    "expectations",
     "draws_from_uniforms",
     "mixing_coefficients",
     "dense_theta",
@@ -169,9 +175,12 @@ class AtomTable:
 
     Row k of ``probs`` (N,), ``theta`` (N, m+1) and ``Theta`` (N, m+1, m+1)
     is atom k: its probability, its generators theta and its matrix Theta.
-    ``_moments`` memoizes :func:`moment` on this table, keyed by the
-    monomial as a tuple of tuples; it lives and dies with the table, so
-    whatever bounds the atom cache bounds it too.
+    ``theta`` and ``Theta`` are views of ``columns`` (K, N), which holds one
+    contiguous row per entry: theta_0..theta_m, then Theta[p][q] row by row
+    (:func:`_column_index`).  ``_moments`` memoizes :func:`moment` (a float
+    per monomial, keyed by the monomial as a tuple of tuples) and
+    :func:`expectations` (a read-only row per :class:`Monomials`); it lives
+    and dies with the table, so whatever bounds the atom cache bounds it too.
     """
 
     m: int
@@ -179,6 +188,7 @@ class AtomTable:
     probs: np.ndarray
     theta: np.ndarray
     Theta: np.ndarray
+    columns: np.ndarray
     _moments: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
@@ -331,12 +341,16 @@ def sample_draw(family: RvFamily, m: int, rng: np.random.Generator) -> NoiseDraw
 _ATOM_CACHE: dict = {}
 
 
-def enumerate_atoms(family: RvFamily, m: int) -> AtomTable:
-    """Every joint outcome of (eta_0..eta_m, theta_1..theta_m) with its probability."""
+def _check_noise_count(m: int) -> None:
     if m < 1:
         raise ValueError("need at least one noise")
     if m > MAX_ATOM_NOISES:
         raise CapacityError(f"atom enumeration supports m <= {MAX_ATOM_NOISES}")
+
+
+def enumerate_atoms(family: RvFamily, m: int) -> AtomTable:
+    """Every joint outcome of (eta_0..eta_m, theta_1..theta_m) with its probability."""
+    _check_noise_count(m)
     key = (family.calculus, family.c, family.half_variant, m)
     cached = _ATOM_CACHE.get(key)
     if cached is not None:
@@ -351,6 +365,11 @@ def enumerate_atoms(family: RvFamily, m: int) -> AtomTable:
     theta = np.ones(eta.shape, order="F")
     theta[:, 1:] = np.tile(_SUPPORTS[family.calculus][np.array(indices)], (len(signs), 1))
     Theta = dense_theta(family, theta, eta)
+    # one contiguous row per entry; theta and Theta become views of it
+    columns = np.concatenate((theta.T, Theta.reshape(len(theta), -1).T))
+    columns.setflags(write=False)
+    theta = columns[: m + 1].T
+    Theta = columns[m + 1 :].reshape(m + 1, m + 1, -1).transpose(2, 0, 1)
     theta_probs = []
     for idx in indices:
         prob = 0.5 ** (m + 1)
@@ -358,9 +377,8 @@ def enumerate_atoms(family: RvFamily, m: int) -> AtomTable:
             prob *= probs[i]
         theta_probs.append(prob)
     atom_probs = np.tile(theta_probs, len(signs))
-    for array in (atom_probs, theta, Theta):
-        array.setflags(write=False)
-    table = AtomTable(m=m, family=family, probs=atom_probs, theta=theta, Theta=Theta)
+    atom_probs.setflags(write=False)
+    table = AtomTable(m=m, family=family, probs=atom_probs, theta=theta, Theta=Theta, columns=columns)
     _ATOM_CACHE[key] = table
     return table
 
@@ -368,14 +386,92 @@ def enumerate_atoms(family: RvFamily, m: int) -> AtomTable:
 _FACTOR_ARITY = {"theta": 1, "Theta": 2}
 
 
+def _column_index(factor, m: int) -> int:
+    """The row of ``AtomTable.columns`` holding a factor, checked against m."""
+    kind, indices = factor[0], factor[1:]
+    if _FACTOR_ARITY.get(kind) != len(indices):
+        raise ValueError(f"unknown factor {factor!r}: expected ('theta', p) or ('Theta', p, q)")
+    if any(not 0 <= i <= m for i in indices):
+        raise ValueError(f"factor {factor!r} references a noise index beyond m={m}")
+    if kind == "theta":
+        return indices[0]
+    return (m + 1) * (indices[0] + 1) + indices[1]
+
+
+def _weighted_sums(table: AtomTable, index: np.ndarray, exponents=None) -> np.ndarray:
+    """The exact moment kernel: one expectation per row of ``index``.
+
+    Row i is the sum over atoms of ``probs`` times the columns
+    ``index[i, 0], index[i, 1], ...`` (each raised to ``exponents[j]`` when
+    given), multiplied in left to right; the sum runs along each contiguous
+    row, so a row sums exactly as a lone monomial's vector does.
+    """
+    w = np.empty((len(index), len(table.probs)))
+    w[:] = table.probs
+    factor = np.empty_like(w)
+    for j in range(index.shape[1]):
+        np.take(table.columns, index[:, j], axis=0, out=factor, mode="clip")
+        if exponents is not None:
+            factor **= exponents[j]
+        w *= factor
+    return w.sum(axis=1)
+
+
+class Monomials:
+    """Monomials of one noise count ``m`` as rows of factor columns, checked once.
+
+    ``factors`` holds one tuple of factors per monomial, each factor
+    ``("theta", p)`` or ``("Theta", p, q)`` taken to the first power (repeat a
+    factor for a higher power).  ``index`` (rows, positions) names their
+    columns in the atom table; a shorter monomial is padded with column 0,
+    theta_0 = 1, and multiplying by 1.0 changes no bit.  Equal sets compare
+    and hash equal, and the hash is computed once, so a memo hit by the same
+    object costs one dict lookup.
+    """
+
+    __slots__ = ("m", "factors", "index", "_hash")
+
+    def __init__(self, m: int, factors):
+        _check_noise_count(m)
+        self.m = m
+        self.factors = tuple(tuple(monomial) for monomial in factors)
+        self.index = np.zeros((len(self.factors), max(map(len, self.factors), default=0)), dtype=np.intp)
+        for row, monomial in zip(self.index, self.factors):
+            row[: len(monomial)] = [_column_index(factor, m) for factor in monomial]
+        self.index.setflags(write=False)
+        self._hash = hash((m, self.factors))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Monomials) and (self.m, self.factors) == (other.m, other.factors)
+
+
+def expectations(family: RvFamily, monomials: Monomials) -> np.ndarray:
+    """Exact expectations of a set of monomials, one read-only row per set.
+
+    Computed in one pass of the moment kernel and memoized on the atom table
+    it read, next to the moments of :func:`moment`; a repeated set returns
+    the stored row.
+    """
+    table = enumerate_atoms(family, monomials.m)
+    row = table._moments.get(monomials)
+    if row is None:
+        row = _weighted_sums(table, monomials.index)
+        row.setflags(write=False)
+        table._moments[monomials] = row
+    return row
+
+
 def moment(family: RvFamily, m: int, monomial: Iterable) -> float:
     """Exact expectation of a monomial in the theta / Theta variables.
 
     ``monomial`` is an iterable of ``(factor, exponent)`` pairs with factor
     ``("theta", p)`` or ``("Theta", p, q)``; indices must not exceed ``m``.
-    The expectation is one weighted sum over the columns of the atom table,
-    memoized on that table: a repeated monomial returns the stored float.
-    Every factor of a new monomial is validated before any arithmetic.
+    The one-monomial case of the kernel of :func:`expectations`, memoized on
+    the atom table: a repeated monomial returns the stored float.  Every
+    factor of a new monomial is validated before any arithmetic.
     """
     table = enumerate_atoms(family, m)
     key = tuple(monomial)  # a tuple is its own key, so a hit allocates nothing
@@ -386,18 +482,7 @@ def moment(family: RvFamily, m: int, monomial: Iterable) -> float:
         value = table._moments.get(key)
     if value is not None:
         return value
-    for factor, _ in key:
-        kind, indices = factor[0], factor[1:]
-        if _FACTOR_ARITY.get(kind) != len(indices):
-            raise ValueError(f"unknown factor {factor!r}: expected ('theta', p) or ('Theta', p, q)")
-        if any(not 0 <= i <= m for i in indices):
-            raise ValueError(f"factor {factor!r} references a noise index beyond m={m}")
-    value = table.probs
-    for factor, exponent in key:
-        if factor[0] == "theta":
-            column = table.theta[:, factor[1]]
-        else:
-            column = table.Theta[:, factor[1], factor[2]]
-        value = value * column**exponent
-    value = table._moments[key] = float(value.sum())
+    index = np.array([[_column_index(factor, m) for factor, _ in key]], dtype=np.intp)
+    value = _weighted_sums(table, index, [exponent for _, exponent in key])
+    value = table._moments[key] = float(value[0])
     return value

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import srkweak
 from srkweak.cli import main
 from srkweak.tableau import registry_get, save_method, tableau_to_dict
 
@@ -98,6 +103,28 @@ def test_forests_listing(capsys):
     assert main(["forests", "--max-order", "1", "--exotic"]) == 0
     out = capsys.readouterr().out
     assert "[1[1]]" in out and "phi_i f^{p1,i}_{i1} f^{p1,i1}" in out
+
+
+def test_forests_order_three_lists_every_exotic_flow_coefficient(capsys):
+    assert main(["forests", "--max-order", "3", "--exotic"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 669
+    assert not [row[0] for row in rows if "-" in (row[3], row[4])]
+    by_forest = {row[0]: row for row in rows}
+    assert by_forest["[0[0][0]]"][3:5] == ["1/3", "1/3"]
+    assert by_forest["[0[0[0]]]"][3:5] == ["1/6", "1/6"]
+
+
+def test_forests_listing_stops_quietly_when_its_reader_closes_the_pipe():
+    env = {**os.environ, "PYTHONPATH": str(Path(srkweak.__file__).parents[1])}
+    cmd = [sys.executable, "-m", "srkweak.cli", "forests", "--max-order", "3"]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"forest")
+        proc.stdout.close()  # as `| head -1` does; the listing is far longer than a pipe buffer
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert err == b""
+    assert code == 128 + 13  # the status of a process killed by SIGPIPE
 
 
 def test_forests_table(capsys):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from srkweak import conditions
+from srkweak import conditions, forests, randvars
 from srkweak.conditions import (
     REDUCED_TOLERANCE,
     TABLE_TOLERANCE,
@@ -236,3 +236,57 @@ def test_table_lhs_are_pinned(key):
     name = key.split("~")[0]
     t = _fresh_c(registry_get(name), 8) if key.endswith("~fresh") else registry_get(name)
     assert [rec.lhs.hex() for rec in check_all_table(t).records] == PINNED_TABLE_LHS[key]
+
+
+# ---------------------------------------------------------------------------
+# the table as one compiled contraction
+
+
+def _registered_perturbed_and_fresh_c():
+    rng = np.random.default_rng(20261019)
+
+    def jitter(a):
+        return None if a is None else a * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, a.shape))
+
+    for name in registry_names():
+        base = registry_get(name)
+        yield base
+        for c in (base.c, rng.uniform(0.05, 0.45)):
+            yield make_tableau(
+                f"{name}~{c:.4f}", base.calculus,
+                *(jitter(getattr(base, k)) for k in ("alpha", "beta", "A0", "B0", "A1", "B1", "Bhat1")),
+                c=c, det_order=base.det_order, weak_order=base.weak_order, structure=base.structure,
+            )
+
+
+@pytest.mark.parametrize("t", list(_registered_perturbed_and_fresh_c()), ids=lambda t: t.name)
+def test_table_lhs_equal_the_per_forest_map_bit_for_bit(t):
+    table = [rec.lhs.hex() for rec in check_all_table(t).records]
+    assert table == [forests.rk_coefficient_map(t, row.forest).hex() for row in condition_table()]
+
+
+def test_a_second_table_on_the_same_family_computes_no_weights(monkeypatch):
+    kernel_rows = []
+    weighted_sums = randvars._weighted_sums
+
+    def counting(table, index, exponents=None):
+        kernel_rows.append(len(index))
+        return weighted_sums(table, index, exponents)
+
+    monkeypatch.setattr(randvars, "_weighted_sums", counting)
+    monkeypatch.setattr(randvars, "_ATOM_CACHE", {})  # so the first table misses
+    base = registry_get("BDK2")
+    blocks = [getattr(base, k) for k in ("alpha", "beta", "A0", "B0", "A1", "B1", "Bhat1")]
+    first, second = (
+        make_tableau(f"BDK2~{k}", ITO, *(None if b is None else b * scale for b in blocks), c=0.123456789,
+                     det_order=2, weak_order=2, structure=base.structure)
+        for k, scale in enumerate((1.0, 1.01))
+    )
+    check_all_table(first)
+    # one pass per noise count over all 43 rows
+    assert sorted(kernel_rows) == sorted(len(rows) for rows, _ in conditions._table_program().groups)
+    assert sum(kernel_rows) == 43
+    kernel_rows.clear()
+    check_all_table(second)
+    check_all_table(first, calculus=STRATONOVICH)
+    assert kernel_rows == []

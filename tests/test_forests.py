@@ -282,6 +282,28 @@ def test_order_one_flow_coefficients():
     assert F(e(pf("[1[1]]")), 1) == F(1, 2)
 
 
+def _tree_factorial(tree) -> int:
+    """gamma(t) = |t| * prod of gamma over the subtrees of the root."""
+
+    def size(t):
+        return 1 + sum(size(c) for c in t[1])
+
+    return size(tree) * math.prod(_tree_factorial(c) for c in tree[1])
+
+
+@pytest.mark.parametrize("calculus", [ITO, STRATONOVICH])
+def test_flow_coefficients_of_deterministic_forests_are_inverse_tree_factorials(calculus):
+    """Up to order 3, a forest with only zero decorations has e(f) = prod 1/gamma(t),
+    the coefficient of the deterministic exact flow (Butcher); the first check of
+    order-3 flow coefficients that does not run through the Grossman-Larson series."""
+    e = exact_flow_coefficients(calculus, 3)
+    deterministic = [f for f in enumerate_forests(3) if not f.decoration_sizes]
+    assert len(deterministic) == 1 + 2 + 4
+    for f in deterministic:
+        assert e(f) == F(1, math.prod(_tree_factorial(t) for t in f.trees)), f.text
+    assert (e(pf("[0[0][0]]")), e(pf("[0[0[0]]]")), e(pf("[0]·[0[0]]"))) == (F(1, 3), F(1, 6), F(1, 2))
+
+
 def test_generator_maps():
     l_ito = generator_map(ITO)
     assert l_ito(pf("[0]")) == 1
@@ -561,6 +583,34 @@ def test_rk_coefficient_map_matches_assignment_sum_on_all_rows(t):
             got = fo.rk_coefficient_map(t, row.forest, noise_labels=labels)
             expected, scale = _rk_coefficient_reference(t, row.forest, labels)
             assert abs(got - expected) <= 1e-14 * (1.0 + scale), (row.id, labels)
+
+
+@pytest.mark.parametrize("name", ["BDK1", "BDK2", "StratoDIRK", "ItoDIRKEX"])
+def test_order_three_program_matches_the_per_forest_map_bit_for_bit(name):
+    t = registry_get(name)
+    listing = enumerate_forests(3, exotic_only=True)
+    program = fo.contraction_program(listing)
+    # 3657 nodes in 669 forests, 386 distinct subtrees
+    assert sum(f.n_nodes for f in listing) == 3657 and len(program.nodes) == 386
+    got = [x.hex() for x in program.evaluate(t)]
+    assert got == [fo.rk_coefficient_map(t, f).hex() for f in listing]
+
+
+def test_program_raises_the_per_forest_errors_for_bad_noise_labels():
+    bdk1 = registry_get("BDK1")
+    f = pf("[1[2]]·[1]·[2]")
+    for labels in [(1,), (1, 2, 3)]:
+        with pytest.raises(ValueError, match="need one noise label per decoration class"):
+            fo.rk_coefficient_map(bdk1, f, noise_labels=labels)
+    with pytest.raises(ValueError, match=r"factor \('theta', -1\) references a noise index beyond m=1"):
+        fo.rk_coefficient_map(bdk1, f, noise_labels=(-1, 1))
+    with pytest.raises(CapacityError, match="m <= 3"):
+        fo.rk_coefficient_map(bdk1, f, noise_labels=(4, 1))
+    with pytest.raises(ValueError, match="need one noise label"):
+        fo.contraction_program((pf("[0]"), f), (1,))
+    # the empty forest has no classes to label, and its coefficient is 1
+    assert fo.rk_coefficient_map(bdk1, DecoratedForest.empty(), noise_labels=(1,)) == 1.0
+    assert fo.rk_coefficient_map(bdk1, f, noise_labels=(3, 1)) == pytest.approx(0.5, abs=1e-13)
 
 
 @pytest.mark.parametrize(

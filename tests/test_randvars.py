@@ -16,10 +16,12 @@ from srkweak.randvars import (
     STRATONOVICH,
     CapacityError,
     FamilyError,
+    Monomials,
     RvFamily,
     dense_theta,
     draws_from_uniforms,
     enumerate_atoms,
+    expectations,
     mixing_coefficients,
     moment,
     sample_draw,
@@ -409,24 +411,26 @@ def _order_condition_tableaux():
 def test_memoized_moments_equal_the_weighted_sum_on_miss_and_hit(monkeypatch):
     calls = []
 
-    def recording_moment(family, m, monomial):
-        calls.append((family, m, monomial))
-        return moment(family, m, monomial)
+    def recording_expectations(family, monomials):
+        calls.append((family, monomials))
+        return expectations(family, monomials)
 
-    monkeypatch.setattr(randvars, "moment", recording_moment)
+    monkeypatch.setattr(randvars, "expectations", recording_expectations)
     for t in _order_condition_tableaux():
         conditions.check_all_table(t)
         conditions.check_reduced(t)
     monkeypatch.undo()
-    assert len({(f.calculus, f.c) for f, _, _ in calls}) == 9
-    # fresh tables, so each monomial's first call is a miss
+    assert len({(f.calculus, f.c) for f, _ in calls}) == 9
+    # fresh tables, so each set's first call is a miss
     monkeypatch.setattr(randvars, "_ATOM_CACHE", {})
-    for family, m, monomial in calls:
-        table = enumerate_atoms(family, m)
-        key = tuple(monomial)
-        first = moment(family, m, monomial)
-        assert table._moments[key] == first
-        assert moment(family, m, monomial) == first == _weighted_sum(table, monomial)
+    for family, monomials in calls:
+        table = enumerate_atoms(family, monomials.m)
+        first = expectations(family, monomials)
+        assert table._moments[monomials] is first and not first.flags.writeable
+        assert expectations(family, monomials) is first
+        for value, factors in zip(first.tolist(), monomials.factors):
+            monomial = [(factor, 1) for factor in factors]
+            assert moment(family, monomials.m, monomial) == value == _weighted_sum(table, monomial)
 
 
 @pytest.mark.parametrize(
@@ -442,6 +446,34 @@ def test_memo_still_validates_a_new_monomial_with_a_cached_prefix(bad, match):
         moment(f, 2, prefix + [bad])
     with pytest.raises(ValueError, match=match):
         moment(f, 2, [bad])
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [(("bogus", 1), "unknown factor"), (("Theta", 1), "unknown factor"), (("theta", 1, 2), "unknown factor"),
+     (("theta", 3), "beyond m=2"), (("Theta", 1, 3), "beyond m=2"), (("theta", -1), "beyond m=2")],
+)
+def test_monomial_sets_raise_the_errors_of_moment(bad, match):
+    good = [("theta", 1), ("Theta", 1, 2)]
+    with pytest.raises(ValueError, match=match) as from_moment:
+        moment(fam(ITO, 0.2), 2, [(factor, 1) for factor in good + [bad]])
+    with pytest.raises(ValueError, match=match) as from_set:
+        Monomials(2, [good, good + [bad]])
+    assert str(from_set.value) == str(from_moment.value)
+    for check in (lambda: moment(fam(ITO, 0.2), 4, []), lambda: Monomials(4, [good])):
+        with pytest.raises(CapacityError, match="m <= 3"):
+            check()
+
+
+def test_monomial_sets_pad_with_theta_zero_and_compare_by_value():
+    sets = [Monomials(2, [[("theta", 1), ("theta", 1)], [], [("Theta", 2, 1)]]) for _ in range(2)]
+    assert sets[0] == sets[1] and hash(sets[0]) == hash(sets[1]) and sets[0] is not sets[1]
+    assert sets[0].index.tolist() == [[1, 1], [0, 0], [3 * 3 + 1, 0]]
+    f = fam(STRATONOVICH, 0.3)
+    row = expectations(f, sets[0])
+    assert expectations(f, sets[1]) is row  # an equal set hits the first one's memo
+    assert row.tolist() == [moment(f, 2, [(("theta", 1), 1), (("theta", 1), 1)]), moment(f, 2, []),
+                            moment(f, 2, [(("Theta", 2, 1), 1)])]
 
 
 def test_memo_is_per_noise_count():
