@@ -161,10 +161,6 @@ class DecoratedForest:
         return cls(_canonical_trees(nodes, edges, decoration))
 
     @classmethod
-    def from_text(cls, text: str) -> "DecoratedForest":
-        return parse_forest(text)
-
-    @classmethod
     def empty(cls) -> "DecoratedForest":
         return cls(())
 
@@ -424,9 +420,6 @@ class ForestSum:
         return ForestSum({f: c * q for f, c in self._terms.items()})
 
     __rmul__ = __mul__
-
-    def truncate(self, max_order) -> "ForestSum":
-        return ForestSum({f: c for f, c in self._terms.items() if f.order <= max_order})
 
     def homogeneous_order(self):
         orders = {f.order for f in self._terms}
@@ -751,9 +744,9 @@ def convolution_exp(l: CoefficientMap, max_order: int) -> CoefficientMap:
 def _set_partitions(elems, parts: str):
     """Set partitions of ``elems`` as lists of frozensets.
 
-    ``parts`` restricts the part sizes: ``"even"`` or ``"pairs"``.  The part
-    holding the first element comes first, its other members chosen in
-    ``itertools.combinations`` order.
+    ``parts`` restricts the part sizes: ``"any"``, ``"even"`` or ``"pairs"``.
+    The part holding the first element comes first, its other members chosen
+    in ``itertools.combinations`` order.
     """
     elems = list(elems)
     if not elems:
@@ -761,7 +754,8 @@ def _set_partitions(elems, parts: str):
         return
     first = elems[0]
     rest = elems[1:]
-    sizes = (1,) if parts == "pairs" else range(1, len(rest) + 1, 2)
+    # how many other elements join the first one's part
+    sizes = {"any": range(len(rest) + 1), "even": range(1, len(rest) + 1, 2), "pairs": (1,)}[parts]
     for k in sizes:
         for others in itertools.combinations(rest, k):
             part = frozenset((first,) + others)
@@ -773,9 +767,8 @@ def _set_partitions(elems, parts: str):
 def _refinements(f: DecoratedForest, parts: str):
     """Every refinement of the decoration of ``f``'s representative graph.
 
-    Yields ``(combo, refined)``: ``combo`` holds one partition of each
-    nonzero decoration class (in label order), with the part sizes that
-    ``parts`` names (see :func:`_set_partitions`), and ``refined`` is the
+    Each combination of one partition per nonzero decoration class, with the
+    part sizes that ``parts`` names (see :func:`_set_partitions`), yields the
     forest that labels those parts 1, 2, ... in order.
     """
     nodes, edges, dec = f.graph()
@@ -786,13 +779,9 @@ def _refinements(f: DecoratedForest, parts: str):
     per_class = [list(_set_partitions(classes[lab], parts)) for lab in sorted(classes)]
     for combo in itertools.product(*per_class):
         new_dec = {v: 0 for v in nodes}
-        next_label = 1
-        for class_parts in combo:
-            for part in sorted(class_parts, key=sorted):
-                for v in part:
-                    new_dec[v] = next_label
-                next_label += 1
-        yield combo, DecoratedForest.from_graph(nodes, edges, new_dec)
+        for label, part in enumerate(itertools.chain.from_iterable(combo), 1):
+            new_dec.update(dict.fromkeys(part, label))
+        yield DecoratedForest.from_graph(nodes, edges, new_dec)
 
 
 def finer_decorations(f: DecoratedForest, exotic_only: bool = False):
@@ -807,25 +796,29 @@ def finer_decorations(f: DecoratedForest, exotic_only: bool = False):
     pairings of the size-4 class of ``[1]·[1]·[1]·[1]·[2]·[2]`` all give
     ``[1]·[1]·[2]·[2]·[3]·[3]``, and both forests have symmetry 48.
     """
-    out = Counter(refined for _, refined in _refinements(f, "pairs" if exotic_only else "even"))
+    out = Counter(_refinements(f, "pairs" if exotic_only else "even"))
     return sorted(out.items(), key=lambda kv: kv[0].trees)
 
 
 def moebius(fine: DecoratedForest, coarse: DecoratedForest) -> int:
     """Moebius function of the decoration-refinement poset between two forests.
 
-    ``fine`` must refine ``coarse``.  Fix a representative of ``coarse`` and
-    the refinement of it that gives ``fine``; the decorations between them
-    merge fine parts within each coarse class, and any union of even parts is
+    ``fine`` must refine ``coarse``: some merge of ``fine``'s decoration
+    classes gives ``coarse``, and the first such merge found, a set partition
+    of the nonzero labels, is used.  The decorations between the two merge
+    fine classes within each coarse class, and any union of even classes is
     even, so the interval is the product over coarse classes of the
-    partition lattices of their fine parts.  The Moebius function of a
-    product is the product of the factors', and that of the partition
+    partition lattices of the fine classes they merge.  The Moebius function
+    of a product is the product of the factors', and that of the partition
     lattice of k elements is ``(-1)^(k-1) (k-1)!``.
     """
-    match = next((combo for combo, refined in _refinements(coarse, "even") if refined == fine), None)
-    if match is None:
-        raise PosetError("first forest does not refine the second")
-    return math.prod((-1) ** (len(parts) - 1) * math.factorial(len(parts) - 1) for parts in match)
+    nodes, edges, dec = fine.graph()
+    for merge in _set_partitions(sorted(fine.decoration_sizes), "any"):
+        relabel = {label: k for k, part in enumerate(merge, 1) for label in part}
+        merged = {v: relabel.get(d, 0) for v, d in dec.items()}
+        if DecoratedForest.from_graph(nodes, edges, merged) == coarse:
+            return math.prod((-1) ** (len(part) - 1) * math.factorial(len(part) - 1) for part in merge)
+    raise PosetError("first forest does not refine the second")
 
 
 # ---------------------------------------------------------------------------

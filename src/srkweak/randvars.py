@@ -17,13 +17,14 @@ scalar variables per step instead of ``2m+1`` (and only ``m`` when ``m = 1``,
 since ``eta_0`` enters only the mixed entries ``Theta[p][q]``, p != q >= 1).
 
 A draw is carried by its generators ``(theta, eta)``, two arrays of shape
-(..., m+1) (:func:`draws_from_uniforms`).  The stepper reads the entries of
+(..., m+1) (:func:`draws_from_uniforms`, :class:`NoiseDraw`).  Every stepping
+path, single steps and the Langevin chain included, reads the entries of
 Theta it needs per noise column from :func:`mixing_coefficients`; the dense
-Theta is a derived view (:func:`dense_theta`) for single-step draws, atoms,
-moments and the Langevin chain.  The coefficients are noise-major rows,
-(m, ...), and batched generators are stored noise-major and returned as
-transposed (Fortran-order) views, so each noise is a contiguous row of the
-batch; the values do not depend on the storage order.
+Theta (:func:`dense_theta`) is built only for the atom table, whose moment
+kernel reads it, and on request as ``NoiseDraw.Theta``.  The coefficients are
+noise-major rows, (m, ...), and batched generators are stored noise-major and
+returned as transposed (Fortran-order) views, so each noise is a contiguous
+row of the batch; the values do not depend on the storage order.
 
 The sample space is finite, so every moment is available exactly through
 :func:`enumerate_atoms`: an atom table holds the probabilities of all atoms
@@ -158,46 +159,63 @@ class RvFamily:
 
 @dataclass(frozen=True, slots=True)
 class NoiseDraw:
-    """One step's realization: ``theta[0..m]`` with theta[0]=1 and the Theta matrix.
+    """One step's realization: its family and generators ``theta``, ``eta``.
 
-    Slotted: an atom table holds one per atom (1024 for m = 3).
+    The generators have shape (m+1,), or (n, m+1) for a batch of n draws, as
+    :func:`draws_from_uniforms` returns them; ``Theta`` is derived from them
+    on each access.  Slotted: an atom table holds one per atom (1024 for m = 3).
     """
 
-    m: int
-    calculus: str
+    family: RvFamily
     theta: np.ndarray
-    Theta: np.ndarray
+    eta: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.theta.shape[-1] - 1
+
+    @property
+    def calculus(self) -> str:
+        return self.family.calculus
+
+    @property
+    def Theta(self) -> np.ndarray:
+        """The dense matrix Theta, shape (..., m+1, m+1), read-only."""
+        Theta = dense_theta(self.family, self.theta, self.eta)
+        Theta.setflags(write=False)
+        return Theta
 
 
 @dataclass(frozen=True, eq=False)
 class AtomTable:
     """The full finite sample space of a family, as read-only batched arrays.
 
-    Row k of ``probs`` (N,), ``theta`` (N, m+1) and ``Theta`` (N, m+1, m+1)
-    is atom k: its probability, its generators theta and its matrix Theta.
-    ``theta`` and ``Theta`` are views of ``columns`` (K, N), which holds one
-    contiguous row per entry: theta_0..theta_m, then Theta[p][q] row by row
-    (:func:`_column_index`).  ``_moments`` memoizes :func:`moment` (a float
-    per monomial, keyed by the monomial as a tuple of tuples) and
-    :func:`expectations` (a read-only row per :class:`Monomials`); it lives
-    and dies with the table, so whatever bounds the atom cache bounds it too.
+    Row k of ``probs`` (N,), ``theta`` and ``eta`` (N, m+1) and ``Theta``
+    (N, m+1, m+1) is atom k: its probability, its generators and its matrix
+    Theta.  ``theta`` and ``Theta`` are views of ``columns`` (K, N), which
+    holds one contiguous row per entry for the moment kernel: theta_0..theta_m,
+    then Theta[p][q] row by row (:func:`_column_index`).  ``_moments``
+    memoizes :func:`moment` (a float per monomial, keyed by the monomial as a
+    tuple of tuples) and :func:`expectations` (a read-only row per
+    :class:`Monomials`); it lives and dies with the table, so whatever bounds
+    the atom cache bounds it too.
     """
 
     m: int
     family: RvFamily
     probs: np.ndarray
     theta: np.ndarray
+    eta: np.ndarray
     Theta: np.ndarray
     columns: np.ndarray
     _moments: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def atoms(self) -> tuple:
-        """The atoms as ``(probability, NoiseDraw)`` pairs, row views of the arrays."""
-        calculus = self.family.calculus
+        """The atoms as ``(probability, NoiseDraw)`` pairs, row views of the generators."""
         return tuple(
-            (prob, NoiseDraw(self.m, calculus, theta, Theta))
-            for prob, theta, Theta in zip(self.probs.tolist(), self.theta, self.Theta)
+            (prob, NoiseDraw(self.family, theta, eta))
+            for prob, theta, eta in zip(self.probs.tolist(), self.theta, self.eta)
         )
 
 
@@ -306,8 +324,9 @@ def mixing_coefficients(family: RvFamily, theta: np.ndarray, eta: np.ndarray):
 def dense_theta(family: RvFamily, theta: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """The matrix Theta of draws given by their generators, shape (..., m+1, m+1).
 
-    A derived view for single-step draws, atoms, moments and the Langevin
-    chain; the batched stepper mixes stages from :func:`mixing_coefficients`.
+    Built for the atom table, whose moment kernel reads every entry, and for
+    ``NoiseDraw.Theta``; every stepping path mixes its stages from
+    :func:`mixing_coefficients` instead.
     """
     m = theta.shape[-1] - 1
     row0, col0, diag, up, low = (
@@ -332,10 +351,9 @@ def sample_draw(family: RvFamily, m: int, rng: np.random.Generator) -> NoiseDraw
         raise ValueError("need at least one noise")
     u = rng.random(family.rv_count(m))
     theta, eta = draws_from_uniforms(family, m, u)
-    Theta = dense_theta(family, theta, eta)
     theta.setflags(write=False)
-    Theta.setflags(write=False)
-    return NoiseDraw(m=m, calculus=family.calculus, theta=theta, Theta=Theta)
+    eta.setflags(write=False)
+    return NoiseDraw(family, theta, eta)
 
 
 _ATOM_CACHE: dict = {}
@@ -362,6 +380,7 @@ def enumerate_atoms(family: RvFamily, m: int) -> AtomTable:
     # generators stored noise-major, as draws_from_uniforms stores them, so that
     # mixing_coefficients reads contiguous rows
     eta = np.asfortranarray(np.repeat(signs, len(indices), axis=0))
+    eta.setflags(write=False)
     theta = np.ones(eta.shape, order="F")
     theta[:, 1:] = np.tile(_SUPPORTS[family.calculus][np.array(indices)], (len(signs), 1))
     Theta = dense_theta(family, theta, eta)
@@ -378,7 +397,7 @@ def enumerate_atoms(family: RvFamily, m: int) -> AtomTable:
         theta_probs.append(prob)
     atom_probs = np.tile(theta_probs, len(signs))
     atom_probs.setflags(write=False)
-    table = AtomTable(m=m, family=family, probs=atom_probs, theta=theta, Theta=Theta, columns=columns)
+    table = AtomTable(m, family, atom_probs, theta, eta, Theta, columns)
     _ATOM_CACHE[key] = table
     return table
 

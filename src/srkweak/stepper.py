@@ -25,7 +25,8 @@ dense (m+1) x (m+1) Theta: the stages read five per-noise coefficient arrays
 (:func:`randvars.mixing_coefficients`), and since the mixed entries are
 ``Theta[p][q] = theta_q (1 +- eta_0)`` every row of the stage combination
 follows from exclusive suffix and prefix sums, in O(m) per path.
-:func:`step` slices the same coefficients from its draw's dense Theta.
+:func:`step` reads the same coefficients from its draw's generators, and the
+postprocessed Langevin step mixes its inner stage with the same kernel.
 
 The batched core is noise-major: stochastic stage inputs and values have
 shape (m, n, d), theta and the coefficients (m, n), so each noise is a
@@ -111,9 +112,6 @@ class SdeProblem:
     def eval_field(self, p: int, x: np.ndarray) -> np.ndarray:
         self.eval_counts[p] += 1
         return self.fields[p](x)
-
-    def reset_counts(self) -> None:
-        self.eval_counts[:] = 0
 
     @property
     def drift_evals(self) -> int:
@@ -288,24 +286,12 @@ def _check_step_args(problem: SdeProblem, t: MethodTableau, h: float, draw: Opti
     if draw is not None:
         if draw.m != problem.m:
             raise ValueError(f"draw has m={draw.m}, problem has m={problem.m}")
-        if draw.calculus != t.calculus:
+        family = family_for_method(t)
+        if draw.family != family:
             raise ValueError(
-                f"draw is from a {draw.calculus} family, method {t.name} is {t.calculus}"
+                f"draw is from the {draw.calculus} family with c={draw.family.c}, "
+                f"method {t.name} needs {family.calculus} with c={family.c}"
             )
-
-
-def _dense_coefficients(Theta: np.ndarray):
-    """The five coefficient rows of :func:`randvars.mixing_coefficients`,
-    sliced noise-major (m, n) from dense Theta of shape (n, m+1, m+1).
-
-    The c=1/2 column Theta[q][0], None there, is sliced as its ones.
-    """
-    m = Theta.shape[-1] - 1
-    idx = np.arange(1, m + 1)
-    diag = Theta[:, idx, idx].T
-    if m == 1:
-        return Theta[:, 0, 1:].T, Theta[:, 1:, 0].T, diag, None, None
-    return Theta[:, 0, 1:].T, Theta[:, 1:, 0].T, diag, Theta[:, 1, 1:].T, Theta[:, m, 1:].T
 
 
 def step(problem: SdeProblem, t: MethodTableau, x, h: float, draw: NoiseDraw) -> np.ndarray:
@@ -313,8 +299,8 @@ def step(problem: SdeProblem, t: MethodTableau, x, h: float, draw: NoiseDraw) ->
     _check_step_args(problem, t, h, draw)
     x = np.asarray(x, dtype=float)
     xb = x.reshape(1, problem.d)
-    th = draw.theta[1:, None]
-    out = _apply_step(problem, t, xb, h, th, _dense_coefficients(draw.Theta[None]))
+    coefficients = randvars.mixing_coefficients(draw.family, draw.theta[None], draw.eta[None])
+    out = _apply_step(problem, t, xb, h, draw.theta[1:, None], coefficients)
     if not np.all(np.isfinite(out)):
         raise NonFiniteStateError(
             f"non-finite state after one {t.name} step (h={h})", h=h, method=t.name
@@ -420,8 +406,9 @@ def langevin_postprocessed_step(
     cached ``F(xbar)`` threaded through the state, each step costs one F
     evaluation and m+1 D evaluations (the shared D(H) plus one p-shifted
     evaluation per noise column, i.e. two evaluations per column).  The draw
-    only uses theta_p and the mixed Theta[p][q], so the Ito c=1/2 family is
-    used throughout.
+    only uses theta_p and Theta[p][q], p, q >= 1 (the chain draws from the Ito
+    c=1/2 family); the inner sums are the Ito mix V of the stepping core, in
+    O(m) per chain from the draw's generators.
     """
     x = np.atleast_2d(np.asarray(state.x, dtype=float))
     xbar_prev = np.atleast_2d(np.asarray(state.xbar, dtype=float))
@@ -432,19 +419,18 @@ def langevin_postprocessed_step(
         f_prev = F(xbar_prev)
     f_prev = np.atleast_2d(f_prev)
 
-    theta = np.atleast_2d(draw.theta)[:, 1:]          # (n, m)
-    Theta = draw.Theta[None, 1:, 1:] if draw.Theta.ndim == 2 else draw.Theta[:, 1:, 1:]
-    m = theta.shape[1]
+    theta, eta = np.atleast_2d(draw.theta), np.atleast_2d(draw.eta)   # (n, m+1)
 
     H = x + (h / 4.0) * f_prev
     DH = D(H)                                          # (n, d, m)
     root_half_h = math.sqrt(h / 2.0)
-    xbar = x + root_half_h * np.einsum("ndp,np->nd", DH, theta)
+    xbar = x + root_half_h * np.einsum("ndp,np->nd", DH, theta[:, 1:])
     f_cur = F(xbar)
 
-    inner = H[:, None, :] + root_half_h * np.einsum("ndq,npq->npd", DH, Theta)
-    cols = np.stack([D(inner[:, p, :])[:, :, p] for p in range(m)], axis=2)  # (n, d, m)
-    x_next = x + h * f_cur + math.sqrt(2.0 * h) * np.einsum("ndp,np->nd", cols, theta)
+    coefficients = randvars.mixing_coefficients(draw.family, theta, eta)
+    _, V = _mix(coefficients, np.moveaxis(DH, 2, 0), False, False, True)   # (m, n, d)
+    cols = np.stack([D(H + root_half_h * V[p])[:, :, p] for p in range(draw.m)], axis=2)
+    x_next = x + h * f_cur + math.sqrt(2.0 * h) * np.einsum("ndp,np->nd", cols, theta[:, 1:])
 
     if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(xbar))):
         raise NonFiniteStateError("non-finite state in postprocessed step", h=h)
@@ -481,9 +467,7 @@ def langevin_chain(
         todo = min(block, n_steps - done)
         u = rng.random((n_chains, todo, k))
         for s in range(todo):
-            theta, eta = randvars.draws_from_uniforms(family, m, u[:, s, :])
-            Theta = randvars.dense_theta(family, theta, eta)
-            draw = NoiseDraw(m=m, calculus=ITO, theta=theta, Theta=Theta)
+            draw = NoiseDraw(family, *randvars.draws_from_uniforms(family, m, u[:, s, :]))
             state = langevin_postprocessed_step(F, D, state, h, draw)
             if observer is not None:
                 observer(done + s, state.xbar)

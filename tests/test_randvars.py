@@ -312,13 +312,16 @@ def test_atom_table_arrays_are_the_rows_of_its_atoms(calculus, c):
     for m in (1, 2, 3):
         table = enumerate_atoms(fam(calculus, c), m)
         assert table.probs.shape == (len(table.atoms),)
-        assert table.theta.shape == (len(table.atoms), m + 1)
+        assert table.theta.shape == table.eta.shape == (len(table.atoms), m + 1)
         assert table.Theta.shape == (len(table.atoms), m + 1, m + 1)
-        for array in (table.probs, table.theta, table.Theta):
+        for array in (table.probs, table.theta, table.eta, table.Theta):
             assert not array.flags.writeable
         for k, (prob, draw) in enumerate(table.atoms):
             assert type(prob) is float and prob == table.probs[k]
+            assert draw.family == table.family and draw.m == m
             assert draw.theta.tobytes() == table.theta[k].tobytes()
+            assert draw.eta.tobytes() == table.eta[k].tobytes()
+            # the draw derives Theta from its generators, bit for bit the table's
             assert draw.Theta.tobytes() == table.Theta[k].tobytes()
 
 

@@ -19,7 +19,6 @@ from srkweak.randvars import (
     sample_draw,
 )
 from srkweak.stepper import (
-    _dense_coefficients,
     _mix,
     ImplicitSolveError,
     LangevinState,
@@ -52,17 +51,16 @@ def sinh_problem():
     )
 
 
-def manual_draw(m, calculus, theta, Theta):
-    return NoiseDraw(
-        m=m, calculus=calculus, theta=np.asarray(theta, float), Theta=np.asarray(Theta, float)
-    )
+def manual_draw(family, theta, eta):
+    return NoiseDraw(family, np.asarray(theta, float), np.asarray(eta, float))
 
 
 def test_euler_with_constant_noise_field():
     em = registry_get("EulerMaruyama")
     prob = SdeProblem(1, 1, ITO, [lambda x: np.zeros_like(x), lambda x: np.ones_like(x)])
     theta1 = math.sqrt(2.0 + S3)
-    draw = manual_draw(1, ITO, [1.0, theta1], [[1.0, theta1], [1.0, -3 * theta1 + theta1**3]])
+    draw = manual_draw(family_for_method(em), [1.0, theta1], [1.0, 1.0])
+    assert draw.Theta.tolist() == [[1.0, theta1], [1.0, -3 * theta1 + theta1**3]]
     out = step(prob, em, np.array([0.0]), 1.0, draw)
     assert out[0] == theta1
 
@@ -156,6 +154,10 @@ def test_step_argument_checks():
     strat = sample_draw(RvFamily.make(STRATONOVICH, 0.5), 1, np.random.default_rng(6))
     with pytest.raises(ValueError):
         step(prob, t, np.array([0.0]), 0.1, strat)
+    # same calculus, other c: BDK1 (c = 1/2) would read the wrong Theta[p][0]
+    quarter = sample_draw(RvFamily.make(ITO, 0.25), 1, np.random.default_rng(6))
+    with pytest.raises(ValueError, match="c=0.25"):
+        step(prob, t, np.array([0.0]), 0.1, quarter)
     sprob = zero_problem(calculus=STRATONOVICH)
     with pytest.raises(ValueError):
         step(sprob, t, np.array([0.0]), 0.1, draw)
@@ -377,6 +379,35 @@ def test_langevin_x_chain_variance_matches_closed_form():
     assert var_xbar == pytest.approx(1.0, abs=0.02)
 
 
+@pytest.mark.parametrize("m", [2, 3, 10])
+def test_langevin_inner_stage_matches_dense_einsum(m):
+    # the inner stages H + sqrt(h/2) sum_q Theta[p][q] D_q(H), mixed from the
+    # generators, against the dense O(m^2) sum over draw.Theta
+    fam = RvFamily.make(ITO, 0.5)
+    rng = np.random.default_rng(m)
+    n, d, h = 50, 3, 0.25
+    A = 0.3 * rng.standard_normal((d, d, m))
+    F = lambda x: -x
+    calls = []
+
+    def D(x):
+        calls.append(x)
+        return 1.0 + np.einsum("nk,kdp->ndp", np.sin(x), A)
+
+    draw = NoiseDraw(fam, *draws_from_uniforms(fam, m, rng.random((n, fam.rv_count(m)))))
+    x, xbar = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+    langevin_postprocessed_step(F, D, LangevinState(x, xbar), h, draw)
+    H, inner = calls[0], calls[1:]
+    assert len(inner) == m
+    DH, Theta = D(H), draw.Theta[:, 1:, 1:]
+    root_half_h = math.sqrt(h / 2.0)
+    want = H[:, None, :] + root_half_h * np.einsum("ndq,npq->npd", DH, Theta)
+    # rounding bound: 1e-14 of the summed magnitudes of the terms
+    scale = np.abs(H)[:, None, :] + root_half_h * np.einsum("ndq,npq->npd", np.abs(DH), np.abs(Theta))
+    for p, got in enumerate(inner):
+        assert np.all(np.abs(got - want[:, p]) <= 1e-14 * scale[:, p])
+
+
 # ---------------------------------------------------------------------------
 # structured stage mixing
 
@@ -425,27 +456,6 @@ def test_only_mixes_that_a_stage_reads_are_formed(monkeypatch, name, mixes_per_s
     integrate_paths(setup.make(), registry_get(name), setup.x0, 0.25, 4, 3, np.random.default_rng(0))
     assert len(calls) == 4 * mixes_per_step
     assert all(wanted == (True, True) for wanted in calls)
-
-
-@pytest.mark.parametrize("calculus,c", MIX_FAMILIES)
-@pytest.mark.parametrize("m", [1, 2, 3, 10])
-def test_dense_slice_coefficients_equal_mixing_coefficients(calculus, c, m):
-    # step() reads the coefficients from a draw's dense Theta; batch ==
-    # sequential needs them bit for bit equal to the batched ones
-    fam = RvFamily.make(calculus, c)
-    theta, eta = draws_from_uniforms(fam, m, np.random.default_rng(m).random((300, fam.rv_count(m))))
-    *sliced, up, low = _dense_coefficients(dense_theta(fam, theta, eta))
-    *direct, up_direct, low_direct = mixing_coefficients(fam, theta, eta)
-    for a, b in zip(sliced, direct, strict=True):
-        assert a.shape == (m, 300)
-        # None is the all-ones column Theta[q][0] of the c = 1/2 variant
-        assert np.array_equal(a, np.ones((m, 300)) if b is None else b)
-    if m == 1:
-        assert up is low is up_direct is low_direct is None
-    else:
-        # _mix reads up_q only for q >= 2 and low_q only for q <= m - 1
-        assert np.array_equal(up[1:], up_direct[1:])
-        assert np.array_equal(low[:-1], low_direct[:-1])
 
 
 @pytest.mark.parametrize("calculus,c", MIX_FAMILIES)
@@ -505,4 +515,17 @@ def test_langevin_chain_is_pinned():
     ]
     assert [v.hex() for v in state.xbar[:, 0].tolist()] == [
         "-0x1.47efd3f867098p+0", "0x1.0ad38c3c68397p-2", "0x1.543158b427a72p-1"
+    ]
+    # m = 2 with a state-dependent diffusion, so the mixed Theta[p][q] enter
+    coupling = np.array([[1.0, -0.5], [0.25, 1.0]])
+    D2 = lambda x: np.eye(2) + 0.3 * np.sin(x)[:, :, None] * coupling
+    rng = np.random.default_rng(np.random.SeedSequence((6,)))
+    state = langevin_chain(F, D2, np.zeros(2), 2, 0.25, 100, rng, n_chains=3)
+    assert [v.hex() for v in state.x.ravel().tolist()] == [
+        "0x1.332a41414f37cp+0", "-0x1.3afaa25d3f353p+0", "0x1.447f27ee76656p-2",
+        "0x1.2d8406a324256p+0", "-0x1.c6aa3f27e2588p-4", "0x1.dac0c06e7be44p-1",
+    ]
+    assert [v.hex() for v in state.xbar.ravel().tolist()] == [
+        "0x1.0c60765fcc40dp-2", "-0x1.03f4329584fdap+0", "0x1.19d6c83998a10p-2",
+        "0x1.4fe3aec2851a5p+0", "0x1.ddbe16ee8e5dep-3", "0x1.b8537e7fb259ap-3",
     ]
