@@ -274,6 +274,8 @@ def estimate_weak_error(
     """Monte Carlo estimate of E[phi(X_T)] and its weak error at one step size."""
     if n_batches < 2:
         raise ValueError("need at least two batches for a standard error")
+    if n_per_batch < 1:
+        raise ValueError("need at least one path per batch")
     n_steps = _steps_for(setup.T, h)
     problem = setup.make()
     means = np.empty(n_batches)
@@ -416,6 +418,12 @@ def run_invariant_measure(
     """
     if n_chains < 1:
         raise ValueError("need at least one chain")
+    if not h > 0.0:
+        raise ValueError(f"the step size must be positive, got {h}")
+    if n_steps < 1:
+        raise ValueError("need at least one post-burn-in step")
+    if burn_in < 0:
+        raise ValueError(f"the burn-in must not be negative, got {burn_in}")
     steps_per_chain = int(math.ceil(n_steps / n_chains))
     total = burn_in + steps_per_chain
     if x0 is None:

@@ -27,13 +27,14 @@ returned as transposed (Fortran-order) views, so each noise is a contiguous
 row of the batch; the values do not depend on the storage order.
 
 The sample space is finite, so every moment is available exactly through
-:func:`enumerate_atoms`: an atom table holds the probabilities of all atoms
-and every theta and Theta entry as one contiguous column per entry.  One
+:func:`enumerate_atoms`, whose atom table is the sampler's own outcome set:
+the distinct draws of :func:`draws_from_uniforms` and their probabilities,
+with every theta and Theta entry as one contiguous column per entry.  One
 kernel gives exact moments: a set of monomials (:class:`Monomials`, checked
 once when built) is one pass over the table that starts from the
 probabilities, multiplies in the factor columns position by position and
 sums each row, and :func:`expectations` memoizes that row on the table it
-read.  :func:`moment` is the one-monomial case, memoized the same way.  The
+read.  :func:`moment` is the one-row case of :func:`expectations`.  The
 expectation checks elsewhere use tolerance 1e-12 because the support points
 involve ``sqrt(3)`` arithmetic.
 
@@ -43,10 +44,9 @@ requires exclusive access to its generator stream.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable
 
 import numpy as np
@@ -188,16 +188,15 @@ class NoiseDraw:
 
 @dataclass(frozen=True, eq=False)
 class AtomTable:
-    """The full finite sample space of a family, as read-only batched arrays.
+    """The sampler's outcome set of a family, as read-only batched arrays.
 
     Row k of ``probs`` (N,), ``theta`` and ``eta`` (N, m+1) and ``Theta``
     (N, m+1, m+1) is atom k: its probability, its generators and its matrix
-    Theta.  ``theta`` and ``Theta`` are views of ``columns`` (K, N), which
-    holds one contiguous row per entry for the moment kernel: theta_0..theta_m,
-    then Theta[p][q] row by row (:func:`_column_index`).  ``_moments``
-    memoizes :func:`moment` (a float per monomial, keyed by the monomial as a
-    tuple of tuples) and :func:`expectations` (a read-only row per
-    :class:`Monomials`); it lives and dies with the table, so whatever bounds
+    Theta.  ``Theta`` is a view of ``columns`` (K, N), which holds one
+    contiguous row per entry for the moment kernel: theta_0..theta_m, then
+    Theta[p][q] row by row (:func:`_column_index`).  ``_moments`` memoizes
+    :func:`expectations` (a read-only row per :class:`Monomials`, so
+    :func:`moment` too); it lives and dies with the table, so whatever bounds
     the atom cache bounds it too.
     """
 
@@ -366,38 +365,39 @@ def _check_noise_count(m: int) -> None:
         raise CapacityError(f"atom enumeration supports m <= {MAX_ATOM_NOISES}")
 
 
+@lru_cache(maxsize=None)  # at most 12 keys: calculus, c = 1/2 variant, m
+def _outcomes(calculus: str, half_variant: bool, m: int):
+    """Read-only ``(probs, theta, eta)`` of the distinct draws, which do not depend on c:
+    each variable :func:`draws_from_uniforms` reads (in its column order, the first outermost)
+    takes each value from a uniform inside its bin, with that value's probability."""
+    family = RvFamily.make(calculus, 0.5 if half_variant else 0.25)
+    edges = (0.0,) + _EDGES[calculus] + (1.0,)
+    theta_bins = ([(a + b) / 2.0 for a, b in zip(edges, edges[1:])], family.theta_support[1])
+    sign_bins = ([0.25, 0.75], [0.5, 0.5])
+    variables = [sign_bins] * (m > 1) + [theta_bins] * m + [sign_bins] * (0 if half_variant else m)
+    grid = np.meshgrid(*[uniforms for uniforms, _ in variables], indexing="ij")
+    u = np.stack(grid, axis=-1).reshape(-1, len(variables))
+    outcomes = (reduce(np.multiply.outer, [np.array(p) for _, p in variables]).ravel(),
+                *draws_from_uniforms(family, m, u))
+    for array in outcomes:
+        array.setflags(write=False)
+    return outcomes
+
+
 def enumerate_atoms(family: RvFamily, m: int) -> AtomTable:
-    """Every joint outcome of (eta_0..eta_m, theta_1..theta_m) with its probability."""
+    """The sampler's outcome set: each distinct draw of :func:`draws_from_uniforms`, with its probability."""
     _check_noise_count(m)
     key = (family.calculus, family.c, family.half_variant, m)
     cached = _ATOM_CACHE.get(key)
     if cached is not None:
         return cached
-    support, probs = family.theta_support
-    # outcomes in itertools.product order: signs outer, theta indices inner
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=m + 1)))
-    indices = list(itertools.product(range(len(support)), repeat=m))
-    # generators stored noise-major, as draws_from_uniforms stores them, so that
-    # mixing_coefficients reads contiguous rows
-    eta = np.asfortranarray(np.repeat(signs, len(indices), axis=0))
-    eta.setflags(write=False)
-    theta = np.ones(eta.shape, order="F")
-    theta[:, 1:] = np.tile(_SUPPORTS[family.calculus][np.array(indices)], (len(signs), 1))
+    probs, theta, eta = _outcomes(family.calculus, family.half_variant, m)
     Theta = dense_theta(family, theta, eta)
-    # one contiguous row per entry; theta and Theta become views of it
+    # one contiguous row per entry; Theta becomes a view of it
     columns = np.concatenate((theta.T, Theta.reshape(len(theta), -1).T))
     columns.setflags(write=False)
-    theta = columns[: m + 1].T
     Theta = columns[m + 1 :].reshape(m + 1, m + 1, -1).transpose(2, 0, 1)
-    theta_probs = []
-    for idx in indices:
-        prob = 0.5 ** (m + 1)
-        for i in idx:
-            prob *= probs[i]
-        theta_probs.append(prob)
-    atom_probs = np.tile(theta_probs, len(signs))
-    atom_probs.setflags(write=False)
-    table = AtomTable(m, family, atom_probs, theta, eta, Theta, columns)
+    table = AtomTable(m, family, probs, theta, eta, Theta, columns)
     _ATOM_CACHE[key] = table
     return table
 
@@ -417,23 +417,30 @@ def _column_index(factor, m: int) -> int:
     return (m + 1) * (indices[0] + 1) + indices[1]
 
 
-def _weighted_sums(table: AtomTable, index: np.ndarray, exponents=None) -> np.ndarray:
+_CHUNK_ROWS = 64  # per kernel pass: two (rows, atoms) arrays, 1 MiB at 1024 atoms
+
+
+def _weighted_sums(table: AtomTable, index: np.ndarray) -> np.ndarray:
     """The exact moment kernel: one expectation per row of ``index``.
 
     Row i is the sum over atoms of ``probs`` times the columns
-    ``index[i, 0], index[i, 1], ...`` (each raised to ``exponents[j]`` when
-    given), multiplied in left to right; the sum runs along each contiguous
-    row, so a row sums exactly as a lone monomial's vector does.
+    ``index[i, 0], index[i, 1], ...``, multiplied in left to right; the sum
+    runs along each contiguous row, so a row sums exactly as a lone
+    monomial's vector does, and taking the rows ``_CHUNK_ROWS`` at a time
+    bounds the memory of a large set without moving a bit.
     """
-    w = np.empty((len(index), len(table.probs)))
-    w[:] = table.probs
+    sums = np.empty(len(index))
+    w = np.empty((min(len(index), _CHUNK_ROWS), len(table.probs)))
     factor = np.empty_like(w)
-    for j in range(index.shape[1]):
-        np.take(table.columns, index[:, j], axis=0, out=factor, mode="clip")
-        if exponents is not None:
-            factor **= exponents[j]
-        w *= factor
-    return w.sum(axis=1)
+    for start in range(0, len(index), _CHUNK_ROWS):
+        rows = index[start : start + _CHUNK_ROWS]
+        w_rows, factor_rows = w[: len(rows)], factor[: len(rows)]
+        w_rows[:] = table.probs
+        for j in range(index.shape[1]):
+            np.take(table.columns, rows[:, j], axis=0, out=factor_rows, mode="clip")
+            w_rows *= factor_rows
+        w_rows.sum(axis=1, out=sums[start : start + len(rows)])
+    return sums
 
 
 class Monomials:
@@ -471,8 +478,7 @@ def expectations(family: RvFamily, monomials: Monomials) -> np.ndarray:
     """Exact expectations of a set of monomials, one read-only row per set.
 
     Computed in one pass of the moment kernel and memoized on the atom table
-    it read, next to the moments of :func:`moment`; a repeated set returns
-    the stored row.
+    it read; a repeated set returns the stored row.
     """
     table = enumerate_atoms(family, monomials.m)
     row = table._moments.get(monomials)
@@ -487,21 +493,13 @@ def moment(family: RvFamily, m: int, monomial: Iterable) -> float:
     """Exact expectation of a monomial in the theta / Theta variables.
 
     ``monomial`` is an iterable of ``(factor, exponent)`` pairs with factor
-    ``("theta", p)`` or ``("Theta", p, q)``; indices must not exceed ``m``.
-    The one-monomial case of the kernel of :func:`expectations`, memoized on
-    the atom table: a repeated monomial returns the stored float.  Every
-    factor of a new monomial is validated before any arithmetic.
+    ``("theta", p)`` or ``("Theta", p, q)``, indices at most ``m``, and a
+    non-negative integer exponent.  The one-row case of :func:`expectations`:
+    each factor is repeated once per unit of its exponent (exponent 0 drops
+    it), and the row is validated and memoized there.
     """
-    table = enumerate_atoms(family, m)
-    key = tuple(monomial)  # a tuple is its own key, so a hit allocates nothing
-    try:
-        value = table._moments.get(key)
-    except TypeError:  # factors passed as lists
-        key = tuple([(tuple(factor), exponent) for factor, exponent in key])
-        value = table._moments.get(key)
-    if value is not None:
-        return value
-    index = np.array([[_column_index(factor, m) for factor, _ in key]], dtype=np.intp)
-    value = _weighted_sums(table, index, [exponent for _, exponent in key])
-    value = table._moments[key] = float(value[0])
-    return value
+    pairs = [(tuple(factor), exponent) for factor, exponent in monomial]
+    if any(exponent < 0 for _, exponent in pairs):
+        raise ValueError(f"negative exponent in monomial {pairs!r}")
+    factors = [factor for factor, exponent in pairs for _ in range(exponent)]
+    return float(expectations(family, Monomials(m, [factors]))[0])

@@ -29,7 +29,8 @@ from srkweak.forests import (
     parse_forest,
     symmetry,
 )
-from srkweak.randvars import ITO, STRATONOVICH, RvFamily, moment
+from srkweak.randvars import ITO, STRATONOVICH, RvFamily, draws_from_uniforms, enumerate_atoms, moment
+from srkweak.stepper import family_for_method
 from srkweak.tableau import registry_get, registry_names
 
 from fractions import Fraction as F
@@ -217,12 +218,47 @@ def test_criterion_4_weak_order_two_slopes(sinh_tables):
 
 # Exact weak errors of EulerMaruyama on sinh1d at h = 1/2 and 1/4.  Each step
 # draws one four-point Ito theta, so the N = T/h steps have 4^N atom sequences
-# (256 and 65 536); all of them were run through the stepper as one batch and
-# phi(X_T) averaged with the product of the atom probabilities as weights.
+# (256 and 65 536); the test below runs all of them through the stepper as one
+# batch and averages phi(X_T) with the product of the atom probabilities as
+# weights.
 EM_EXACT_COARSE_ERRORS = {0.5: 0.871299, 0.25: 0.778049}
 # The least-squares slope uses only the step sizes where the error is
 # asymptotically first order; the coarser ones are pinned to the values above.
 EM_ASYMPTOTIC_MAX_H = 1 / 8
+
+
+class _AtomSequences:
+    """A stand-in generator whose ``random`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u
+
+
+@pytest.mark.parametrize("h", sorted(EM_EXACT_COARSE_ERRORS))
+def test_em_exact_coarse_errors_replay_every_atom_sequence(h):
+    """Derive EM_EXACT_COARSE_ERRORS: one path per sequence of atoms, weighted by its probability."""
+    setup = harness.make_problem("sinh1d")
+    method = registry_get("EulerMaruyama")
+    family = family_for_method(method)
+    table = enumerate_atoms(family, 1)
+    assert family.rv_count(1) == 1 and len(table.probs) == 4
+    edges = np.concatenate(([0.0], np.cumsum(family.theta_support[1])))
+    u = (edges[:-1] + edges[1:]) / 2.0  # one uniform inside each theta value's bin
+    assert np.array_equal(draws_from_uniforms(family, 1, u[:, None])[0], table.theta)
+    n_steps = round(setup.T / h)
+    sequences = np.array(list(itertools.product(range(len(u)), repeat=n_steps)))
+    weights = np.prod(table.probs[sequences], axis=1)
+    X = harness.integrate_paths(
+        setup.make(), method, setup.x0, h, n_steps, len(sequences), _AtomSequences(u[sequences][..., None])
+    )
+    exact = float(weights @ setup.observable.phi(X))
+    error = abs(exact - setup.observable.exact_expectation(setup.T))
+    assert math.fsum(weights) == pytest.approx(1.0, abs=1e-14)
+    assert round(error, 6) == EM_EXACT_COARSE_ERRORS[h]
 
 
 def test_criterion_4_euler_maruyama_slope(sinh_tables):

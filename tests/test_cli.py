@@ -180,6 +180,26 @@ def test_input_errors_print_one_line_and_exit_2(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "sinh1d", "BDK2", "--h", "0.5,0.25", "--batches", "2", "--paths", "0"],
+        ["invariant", "--h", "0.1", "--steps", "0"],
+        ["invariant", "--h", "0.1", "--steps", "10", "--burn-in", "-5"],
+        ["invariant", "--h", "0", "--steps", "10"],
+        ["invariant", "--h", "-0.1", "--steps", "10"],
+    ],
+    ids=["paths_0", "steps_0", "negative_burn_in", "h_0", "negative_h"],
+)
+def test_impossible_run_sizes_print_one_line_and_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("srkweak: error: ")
+    assert "nan" not in captured.err.lower() and "math domain" not in captured.err
+
+
+@pytest.mark.parametrize(
     "h,message",
     [("0.5", "at least two step sizes"), ("0.5,0.3", "not a whole number of steps")],
 )

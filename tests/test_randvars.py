@@ -75,12 +75,17 @@ def test_rv_counts():
 
 
 def test_atom_counts_and_total_probability():
-    table = enumerate_atoms(fam(ITO, 0.25), 1)
-    assert len(table.atoms) == 16  # 2^2 * 4
-    assert sum(p for p, _ in table.atoms) == pytest.approx(1.0, abs=1e-15)
-    table = enumerate_atoms(fam(STRATONOVICH, 0.25), 2)
-    assert len(table.atoms) == 72  # 2^3 * 3^2
-    assert sum(p for p, _ in table.atoms) == pytest.approx(1.0, abs=1e-15)
+    # one atom per outcome of the rv_count(m) variables the sampler draws
+    counts = [
+        (ITO, 0.25, 1, 8),  # theta_1, eta_1: 4 * 2
+        (STRATONOVICH, 0.25, 2, 72),  # eta_0, theta_1..2, eta_1..2: 2 * 3^2 * 2^2
+        (ITO, 0.5, 1, 4), (ITO, 0.5, 2, 32), (ITO, 0.5, 3, 128),  # eta_0 when m > 1, theta_1..m
+        (STRATONOVICH, 0.5, 1, 3), (STRATONOVICH, 0.5, 2, 18), (STRATONOVICH, 0.5, 3, 54),
+    ]
+    for calculus, c, m, count in counts:
+        table = enumerate_atoms(fam(calculus, c), m)
+        assert len(table.atoms) == count, (calculus, c, m)
+        assert math.fsum(p for p, _ in table.atoms) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(CapacityError):
         enumerate_atoms(fam(ITO, 0.25), 4)
 
@@ -295,16 +300,34 @@ def test_atoms_are_dense_theta_of_their_generators(calculus, c):
     support, probs = f.theta_support
     for m in (1, 2, 3):
         atoms = enumerate_atoms(f, m).atoms
-        outcomes = itertools.product(
-            itertools.product((1.0, -1.0), repeat=m + 1),
-            itertools.product(range(len(support)), repeat=m),
-        )
-        for (prob, draw), (etas, idx) in zip(atoms, outcomes, strict=True):
-            assert prob == 0.5 ** (m + 1) * math.prod(probs[i] for i in idx)
+        # draws_from_uniforms' column order, the first variable outermost:
+        # eta_0 when m > 1, theta_1..theta_m, eta_1..eta_m unless c = 1/2
+        eta0s = (1.0, -1.0) if m > 1 else (1.0,)
+        etas = [(1.0,) * m] if f.half_variant else list(itertools.product((1.0, -1.0), repeat=m))
+        outcomes = itertools.product(eta0s, itertools.product(range(len(support)), repeat=m), etas)
+        n_signs = (m > 1) + (0 if f.half_variant else m)
+        for (prob, draw), (eta0, idx, eta) in zip(atoms, outcomes, strict=True):
+            assert prob == 0.5**n_signs * math.prod(probs[i] for i in idx)
             theta = np.array((1.0,) + tuple(support[i] for i in idx))
             assert np.array_equal(draw.theta, theta)
-            assert np.array_equal(draw.Theta, dense_theta(f, theta, np.array(etas)))
+            assert np.array_equal(draw.eta, (eta0,) + eta)
+            assert np.array_equal(draw.Theta, dense_theta(f, theta, np.array((eta0,) + eta)))
             assert not draw.theta.flags.writeable and not draw.Theta.flags.writeable
+
+
+@pytest.mark.parametrize("calculus", [ITO, STRATONOVICH])
+@pytest.mark.parametrize("c", [0.5, 0.25])
+@pytest.mark.parametrize("m", [1, 2])
+def test_atoms_are_the_distinct_draws_of_the_sampler(calculus, c, m):
+    # m <= 2: the rarest atom then has probability >= 1.4e-3, so 40 000 draws
+    # miss none with overwhelming probability (at m = 3 some have ~7e-5)
+    f = fam(calculus, c)
+    table = enumerate_atoms(f, m)
+    u = np.random.default_rng(12).random((40_000, f.rv_count(m)))
+    drawn = set(map(tuple, np.hstack(draws_from_uniforms(f, m, u)).tolist()))
+    atoms = set(map(tuple, np.hstack((table.theta, table.eta)).tolist()))
+    assert len(atoms) == len(table.probs)
+    assert drawn == atoms
 
 
 @pytest.mark.parametrize("calculus,c", FAMILIES)
@@ -323,6 +346,11 @@ def test_atom_table_arrays_are_the_rows_of_its_atoms(calculus, c):
             assert draw.eta.tobytes() == table.eta[k].tobytes()
             # the draw derives Theta from its generators, bit for bit the table's
             assert draw.Theta.tobytes() == table.Theta[k].tobytes()
+
+
+def test_moment_rejects_a_negative_exponent():
+    with pytest.raises(ValueError, match="negative exponent"):
+        moment(fam(ITO, 0.5), 1, [(("theta", 1), -1)])
 
 
 def _all_factors(m):
@@ -379,7 +407,6 @@ def test_atom_tables_of_fresh_c_stay_small():
         tracemalloc.stop()
     # six (calculus, c) pairs, under 24 KiB each for m = 1 and m = 2 together
     assert held < 6 * 24 * 1024
-
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +518,36 @@ def test_memo_accepts_factors_passed_as_lists():
     as_lists = moment(f, 2, [[["theta", 1], 2], [["Theta", 0, 2], 2]])
     assert moment(f, 2, ((("theta", 1), 2), (("Theta", 0, 2), 2))) == as_lists
     assert moment(f, 2, iter([(["theta", 1], 2), (["Theta", 0, 2], 2)])) == as_lists
+
+
+def _unchunked_weighted_sums(table, index):
+    w = np.empty((len(index), len(table.probs)))
+    w[:] = table.probs
+    for j in range(index.shape[1]):
+        w *= table.columns[index[:, j]]
+    return w.sum(axis=1)
+
+
+def test_moment_kernel_in_chunks_moves_no_bit_and_stays_small():
+    """The 669 exotic forests of order <= 3 at a fresh c, one kernel pass per noise count."""
+    from srkweak.forests import contraction_program, enumerate_forests
+
+    program = contraction_program(enumerate_forests(3, exotic_only=True))
+    assert max(len(rows) for rows, _ in program.groups) > 4 * randvars._CHUNK_ROWS
+    f = fam(ITO, 0.1357)
+    tables = [enumerate_atoms(f, monomials.m) for _, monomials in program.groups]
+    assert max(len(table.probs) for table in tables) == 1024
+    for table, (rows, monomials) in zip(tables, program.groups):
+        tracemalloc.start()
+        try:
+            got = randvars._weighted_sums(table, monomials.index)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two chunk-sized (rows, atoms) arrays and the result; all rows at once
+        # would take 2 * len(rows) * len(atoms) * 8 bytes (6.4 MiB for the 411 rows at m = 3)
+        assert peak <= 2 * randvars._CHUNK_ROWS * len(table.probs) * 8 + 16 * len(rows) + 64 * 1024
+        assert got.tobytes() == _unchunked_weighted_sums(table, monomials.index).tobytes()
 
 
 def test_memo_lives_and_dies_with_its_table():
