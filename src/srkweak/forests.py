@@ -14,6 +14,12 @@ decoration-refinement combinatorics with Moebius inversion, elementary
 differential rendering, and the Runge-Kutta coefficient map of a method
 tableau on a forest.
 
+Every operation computes on the canonical encoding of a forest, a sorted
+tuple of ``(decoration, (child, ...))`` trees, and canonicalises its result
+there.  A node/edge graph is read only where a forest enters from outside
+(:meth:`DecoratedForest.from_graph`, :func:`canonicalize`,
+:func:`parse_forest`), and built only by :meth:`DecoratedForest.graph`.
+
 All coefficients in this layer are exact rationals; only
 :func:`rk_coefficient_map` returns floats (method tableaux carry irrational
 entries).  Every value is immutable, so everything here is safe to share
@@ -79,19 +85,6 @@ class PosetError(ForestError):
     """Raised when two forests are not comparable in the refinement order."""
 
 
-# A canonical tree is a nested tuple (decoration, (child, child, ...)) with
-# children sorted; a canonical forest is a sorted tuple of canonical trees.
-
-
-def _adjacency(nodes, edges):
-    """``(parent, children, roots)`` of a graph given by (child, parent) edges."""
-    parent = dict(edges)
-    children: dict = {v: [] for v in nodes}
-    for c, p in edges:
-        children[p].append(c)
-    return parent, children, [v for v in nodes if v not in parent]
-
-
 def _encode_tree(v, children, dec):
     return (dec[v], tuple(sorted(_encode_tree(c, children, dec) for c in children[v])))
 
@@ -105,6 +98,27 @@ def _label_permutations(labels):
     """Every bijection of ``labels`` onto 1..len(labels) as a relabel map fixing 0."""
     for perm in itertools.permutations(range(1, len(labels) + 1)):
         yield {0: 0, **dict(zip(labels, perm))}
+
+
+def _preorder(trees):
+    """The decorations of encoded trees in depth-first preorder."""
+    stack = list(reversed(trees))
+    while stack:
+        d, kids = stack.pop()
+        yield d
+        stack.extend(reversed(kids))
+
+
+def _redecorated(trees, decorations) -> tuple:
+    """Encoded trees with their preorder decorations drawn from the iterator ``decorations``."""
+    return tuple((next(decorations), _redecorated(kids, decorations)) for _, kids in trees)
+
+
+def _canonical(trees) -> tuple:
+    """Canonical form of encoded trees: the least relabelling of the nonzero
+    decoration classes onto 1, 2, ..., every level sorted."""
+    labels = sorted({d for d in _preorder(trees) if d})
+    return min(_relabelled(trees, relabel) for relabel in _label_permutations(labels))
 
 
 def _canonical_trees(nodes, edges, decoration):
@@ -141,9 +155,10 @@ def _canonical_trees(nodes, edges, decoration):
         if size % 2:
             raise ForestError(f"decoration class {label} has odd size {size}")
 
-    _, children, roots = _adjacency(nodes, parent.items())
-    encoded = [_encode_tree(r, children, dec) for r in roots]
-    return min(_relabelled(encoded, relabel) for relabel in _label_permutations(sorted(class_sizes)))
+    children: dict = {v: [] for v in nodes}
+    for child, par in parent.items():
+        children[par].append(child)
+    return _canonical([_encode_tree(v, children, dec) for v in nodes if v not in parent])
 
 
 @dataclass(frozen=True)
@@ -171,13 +186,7 @@ class DecoratedForest:
     @cached_property
     def _decorations(self) -> tuple:
         """The node decorations in depth-first preorder."""
-        out: list = []
-        stack = list(reversed(self.trees))
-        while stack:
-            t = stack.pop()
-            out.append(t[0])
-            stack.extend(reversed(t[1]))
-        return tuple(out)
+        return tuple(_preorder(self.trees))
 
     @property
     def n_nodes(self) -> int:
@@ -324,6 +333,8 @@ def enumerate_forests(max_order: int, exotic_only: bool = False) -> tuple:
     With ``exotic_only`` the result is restricted to exotic forests.  Supported
     up to order 3; the test suite pins the counts at every supported order.
     """
+    if max_order < 1:
+        raise ValueError(f"the maximum forest order must be at least 1, got {max_order}")
     if max_order > MAX_ORDER:
         raise CapacityError(f"forest enumeration supports order <= {MAX_ORDER}")
     found = set()
@@ -331,9 +342,8 @@ def enumerate_forests(max_order: int, exotic_only: bool = False) -> tuple:
         # a forest's order is (nodes + black nodes) / 2
         decorations = [s for s in _decoration_strings(n) if n + s.count(0) <= 2 * max_order]
         for shape in _forest_shapes(n):
-            nodes, edges, _ = DecoratedForest(shape).graph()
             for decs in decorations:
-                f = DecoratedForest.from_graph(nodes, edges, decs)
+                f = DecoratedForest(_canonical(_redecorated(shape, iter(decs))))
                 if not exotic_only or f.is_exotic:
                     found.add(f)
     return tuple(sorted(found, key=lambda f: (f.order, f.trees)))
@@ -442,31 +452,31 @@ class ForestSum:
         return "ForestSum(" + " + ".join(parts) + ")"
 
 
-def _shifted_graphs(f1: DecoratedForest, f2: DecoratedForest):
-    """Representative graphs of f1 and f2 with disjoint ids and nonzero labels."""
-    n1, e1, d1 = f1.graph()
-    n2, e2, d2 = f2.graph()
-    off = len(n1)
-    shift = max([0] + [d for d in d1.values()])
-    n2 = [v + off for v in n2]
-    e2 = [(c + off, p + off) for c, p in e2]
-    d2 = {v + off: (d + shift if d > 0 else 0) for v, d in d2.items()}
-    return (n1, e1, d1), (n2, e2, d2)
+def _shifted(f1: DecoratedForest, f2: DecoratedForest) -> tuple:
+    """The trees of f2 with its nonzero labels moved above those of f1."""
+    shift = max(f1._decorations, default=0)
+    return _redecorated(f2.trees, (d + shift if d else 0 for d in f2._decorations))
+
+
+def _grafted(trees, onto: Mapping, count) -> tuple:
+    """Encoded trees with the trees ``onto[j]`` added as children of node j,
+    the nodes numbered in post-order by the counter ``count``."""
+    return tuple((d, _grafted(kids, onto, count) + onto.get(next(count), ())) for d, kids in trees)
 
 
 @lru_cache(maxsize=None)
 def _gl_pair(f1: DecoratedForest, f2: DecoratedForest) -> Mapping:
     """Grossman-Larson product of two forests: graft the roots of f1 onto the
     nodes of f2 in all possible ways (including not grafting), with multiplicity."""
-    (n1, e1, d1), (n2, e2, d2) = _shifted_graphs(f1, f2)
-    roots1 = sorted(set(n1) - {c for c, _ in e1})
-    nodes = n1 + n2
-    dec = {**d1, **d2}
+    high = _shifted(f1, f2)
     out: Counter = Counter()
-    for targets in itertools.product([None] + n2, repeat=len(roots1)):
-        edges = list(e1) + list(e2)
-        edges += [(r, t) for r, t in zip(roots1, targets) if t is not None]
-        out[DecoratedForest.from_graph(nodes, edges, dec)] += 1
+    # target -1 leaves a root of f1 a root
+    for targets in itertools.product(range(-1, f2.n_nodes), repeat=len(f1.trees)):
+        onto: dict = {}
+        for tree, j in zip(f1.trees, targets):
+            onto[j] = onto.get(j, ()) + (tree,)
+        grafted = onto.get(-1, ()) + _grafted(high, onto, itertools.count())
+        out[DecoratedForest(_canonical(grafted))] += 1
     return dict(out)
 
 
@@ -481,8 +491,7 @@ def gl_product(a, b) -> ForestSum:
 
 def concat(f1: DecoratedForest, f2: DecoratedForest) -> DecoratedForest:
     """Concatenation product: disjoint union with disjoint nonzero decorations."""
-    (n1, e1, d1), (n2, e2, d2) = _shifted_graphs(f1, f2)
-    return DecoratedForest.from_graph(n1 + n2, list(e1) + list(e2), {**d1, **d2})
+    return DecoratedForest(_canonical(f1.trees + _shifted(f1, f2)))
 
 
 # ---------------------------------------------------------------------------
@@ -556,36 +565,16 @@ def exact_flow_coefficients(calculus: str, max_order: int) -> CoefficientMap:
 # coproducts
 
 
-def _descendants(v, children):
-    out = {v}
-    stack = [v]
-    while stack:
-        w = stack.pop()
-        for c in children[w]:
-            if c not in out:
-                out.add(c)
-                stack.append(c)
-    return out
+def _cuts(tree):
+    """The admissible cuts of an encoded tree as ``(pruned, kept)`` tuples of trees.
 
-
-def _class_integrity_ok(node_sets, dec) -> bool:
-    """Every nonzero decoration class lies entirely inside one side."""
-    side_of: dict = {}
-    for side, nodes in enumerate(node_sets):
-        for v in nodes:
-            d = dec[v]
-            if d == 0:
-                continue
-            if d in side_of and side_of[d] != side:
-                return False
-            side_of[d] = side
-    return True
-
-
-def _subforest(nodes, edges, dec) -> DecoratedForest:
-    node_set = set(nodes)
-    sub_edges = [(c, p) for c, p in edges if c in node_set and p in node_set]
-    return DecoratedForest.from_graph(list(nodes), sub_edges, {v: dec[v] for v in nodes})
+    Either the whole tree is pruned, or its root is kept and each child
+    subtree is cut on its own; so no root-to-leaf path is cut twice.
+    """
+    yield (tree,), ()
+    d, kids = tree
+    for parts in itertools.product(*map(_cuts, kids)):
+        yield sum((p for p, _ in parts), ()), ((d, sum((k for _, k in parts), ())),)
 
 
 def bck_coproduct(f: DecoratedForest):
@@ -598,47 +587,13 @@ def bck_coproduct(f: DecoratedForest):
     """
     if not f.is_exotic:
         raise ForestError("coproduct is defined on exotic forests")
-    nodes, edges, dec = f.graph()
-    parent, children, roots = _adjacency(nodes, edges)
-
-    def ancestors(v):
-        out = set()
-        while v in parent:
-            v = parent[v]
-            out.add(v)
-        return out
-
-    anc = {v: ancestors(v) for v in nodes}
-
-    tree_options = []  # per tree: list of P-node-sets
-    for r in roots:
-        tree_nodes = _descendants(r, children)
-        tree_edges = [(c, p) for c, p in edges if c in tree_nodes]
-        options = [frozenset(tree_nodes)]  # prune the whole tree
-        edge_children = [c for c, _ in tree_edges]
-        for k in range(len(edge_children) + 1):
-            for cut in itertools.combinations(edge_children, k):
-                # admissible: no two cut edges on one root-to-leaf path
-                if any(
-                    c1 in anc[c2] or c2 in anc[c1]
-                    for c1, c2 in itertools.combinations(cut, 2)
-                ):
-                    continue
-                pruned: set = set()
-                for c in cut:
-                    pruned |= _descendants(c, children)
-                options.append(frozenset(pruned))
-        tree_options.append(options)
-
     out: Counter = Counter()
-    for combo in itertools.product(*tree_options):
-        p_nodes = set().union(*combo) if combo else set()
-        r_nodes = set(nodes) - p_nodes
-        if not _class_integrity_ok((p_nodes, r_nodes), dec):
+    for parts in itertools.product(*map(_cuts, f.trees)):
+        pruned = sum((p for p, _ in parts), ())
+        kept = sum((k for _, k in parts), ())
+        if (set(_preorder(pruned)) - {0}) & set(_preorder(kept)):
             continue
-        P = _subforest(sorted(p_nodes), edges, dec)
-        R = _subforest(sorted(r_nodes), edges, dec)
-        out[(P, R)] += 1
+        out[(DecoratedForest(_canonical(pruned)), DecoratedForest(_canonical(kept)))] += 1
     return tuple((P, R, mult) for (P, R), mult in sorted(out.items(), key=lambda kv: (kv[0][0].trees, kv[0][1].trees)))
 
 
@@ -649,37 +604,14 @@ def deshuffle(f: DecoratedForest):
     the tensor.  Returns ``(left, right, multiplicity)`` triples; each distinct
     ordered pair of forests appears once.
     """
-    nodes, edges, dec = f.graph()
-    _, children, roots = _adjacency(nodes, edges)
-
-    # union-find over trees, merging trees that share a decoration class
-    comp = list(range(len(roots)))
-
-    def find(i):
-        while comp[i] != i:
-            comp[i] = comp[comp[i]]
-            i = comp[i]
-        return i
-
-    tree_of: dict = {}
-    for i, r in enumerate(roots):
-        for v in _descendants(r, children):
-            tree_of[v] = i
-    class_trees: dict = {}
-    for v in nodes:
-        d = dec[v]
-        if d > 0:
-            class_trees.setdefault(d, set()).add(tree_of[v])
-    for trees in class_trees.values():
-        trees = sorted(trees)
-        for t in trees[1:]:
-            comp[find(t)] = find(trees[0])
-
-    blocks: dict = {}
-    for i, r in enumerate(roots):
-        blocks.setdefault(find(i), set()).update(_descendants(r, children))
-    block_forests = [_subforest(sorted(b), edges, dec) for b in blocks.values()]
-    grouped = Counter(block_forests)
+    blocks: list = []  # (labels, trees): root trees merged while they share a label
+    for tree in f.trees:
+        labels, trees = set(_preorder((tree,))) - {0}, (tree,)
+        for block in [b for b in blocks if b[0] & labels]:
+            blocks.remove(block)
+            labels, trees = labels | block[0], block[1] + trees
+        blocks.append((labels, trees))
+    grouped = Counter(DecoratedForest(_canonical(trees)) for _, trees in blocks)
     items = sorted(grouped.items(), key=lambda kv: kv[0].trees)
 
     out = []
@@ -765,23 +697,23 @@ def _set_partitions(elems, parts: str):
 
 
 def _refinements(f: DecoratedForest, parts: str):
-    """Every refinement of the decoration of ``f``'s representative graph.
+    """Every refinement of the decoration of ``f``, node by node in preorder.
 
     Each combination of one partition per nonzero decoration class, with the
     part sizes that ``parts`` names (see :func:`_set_partitions`), yields the
     forest that labels those parts 1, 2, ... in order.
     """
-    nodes, edges, dec = f.graph()
-    classes: dict = {}
-    for v in nodes:
-        if dec[v] > 0:
-            classes.setdefault(dec[v], []).append(v)
+    classes: dict = {}  # label -> preorder positions of its nodes
+    for i, d in enumerate(f._decorations):
+        if d > 0:
+            classes.setdefault(d, []).append(i)
     per_class = [list(_set_partitions(classes[lab], parts)) for lab in sorted(classes)]
     for combo in itertools.product(*per_class):
-        new_dec = {v: 0 for v in nodes}
+        new = [0] * f.n_nodes
         for label, part in enumerate(itertools.chain.from_iterable(combo), 1):
-            new_dec.update(dict.fromkeys(part, label))
-        yield DecoratedForest.from_graph(nodes, edges, new_dec)
+            for i in part:
+                new[i] = label
+        yield DecoratedForest(_canonical(_redecorated(f.trees, iter(new))))
 
 
 def finer_decorations(f: DecoratedForest, exotic_only: bool = False):
@@ -812,11 +744,9 @@ def moebius(fine: DecoratedForest, coarse: DecoratedForest) -> int:
     of a product is the product of the factors', and that of the partition
     lattice of k elements is ``(-1)^(k-1) (k-1)!``.
     """
-    nodes, edges, dec = fine.graph()
     for merge in _set_partitions(sorted(fine.decoration_sizes), "any"):
-        relabel = {label: k for k, part in enumerate(merge, 1) for label in part}
-        merged = {v: relabel.get(d, 0) for v, d in dec.items()}
-        if DecoratedForest.from_graph(nodes, edges, merged) == coarse:
+        relabel = {0: 0, **{label: k for k, part in enumerate(merge, 1) for label in part}}
+        if _canonical(_relabelled(fine.trees, relabel)) == coarse.trees:
             return math.prod((-1) ** (len(part) - 1) * math.factorial(len(part) - 1) for part in merge)
     raise PosetError("first forest does not refine the second")
 
@@ -844,7 +774,7 @@ class ContractionProgram:
     ``nodes`` holds the distinct subtrees of all the forests in post-order
     (children first), each as ``(stochastic, slot, children)``: ``slot`` is
     its row in the drift or the stochastic weight array, and ``children``
-    lists ``(block, child slot)`` pairs in the order the forest's graph lists
+    lists ``(block, child slot)`` pairs in the order the encoded tree lists
     them (an A block reads a drift row, a B block a stochastic one).  A
     subtree shared by several forests, or by one forest twice, is one node.
     ``roots`` are the distinct root nodes as ``(stochastic, slot)``, and
@@ -917,35 +847,40 @@ def contraction_program(forests: tuple, noise_labels: tuple | None = None) -> Co
     slots: dict = {}  # (stochastic, children) -> row in its weight array
     counts = [0, 0]  # drift and stochastic rows so far
     nodes, roots, root_rows, by_m = [], {}, [], {}
+
+    def compile_tree(tree, label, monomial) -> int:
+        """Slot of an encoded subtree, its children compiled first; appends
+        the subtree's Theta factors to ``monomial``, one per edge in preorder."""
+        d, kids = tree
+        children = []
+        for child in kids:
+            block = (label[d], label[child[0]])
+            if block != (0, 0):
+                monomial.append(("Theta", *block))
+            children.append((_edge_block(*block), compile_tree(child, label, monomial)))
+        node = (d != 0, tuple(children))
+        if node not in slots:
+            slots[node] = counts[node[0]]
+            counts[node[0]] += 1
+            nodes.append((node[0], slots[node], node[1]))
+        return slots[node]
+
     for i, f in enumerate(forests):
         if not f.trees:
             root_rows.append(())
             continue
-        graph_nodes, edges, dec = f.graph()
-        classes = sorted({d for d in dec.values() if d > 0})
+        classes = sorted(f.decoration_sizes)
         labels = tuple(range(1, len(classes) + 1)) if noise_labels is None else noise_labels
         if len(labels) != len(classes):
             raise ValueError("need one noise label per decoration class")
         label = {0: 0, **dict(zip(classes, labels))}
-        _, children, tree_roots = _adjacency(graph_nodes, edges)
-        monomial = [("theta", label[dec[r]]) for r in tree_roots if label[dec[r]] != 0]
-        for child, par in edges:
-            if (label[dec[par]], label[dec[child]]) != (0, 0):
-                monomial.append(("Theta", label[dec[par]], label[dec[child]]))
+        monomial = [("theta", label[d]) for d in f.roots if label[d] != 0]
+        root_rows.append(
+            tuple(roots.setdefault((t[0] != 0, compile_tree(t, label, monomial)), len(roots)) for t in f.trees)
+        )
         rows, monomials = by_m.setdefault(max((1,) + labels), ([], []))
         rows.append(i)
         monomials.append(monomial)
-        slot_of = {}  # graph node -> slot of its subtree
-        # graph() numbers every node after its parent
-        for v in reversed(graph_nodes):
-            kids = tuple((_edge_block(label[dec[v]], label[dec[c]]), slot_of[c]) for c in children[v])
-            node = (dec[v] != 0, kids)
-            if node not in slots:
-                slots[node] = counts[node[0]]
-                counts[node[0]] += 1
-                nodes.append((node[0], slots[node], kids))
-            slot_of[v] = slots[node]
-        root_rows.append(tuple(roots.setdefault((dec[r] != 0, slot_of[r]), len(roots)) for r in tree_roots))
 
     groups = tuple(
         (np.array(rows, dtype=np.intp), randvars.Monomials(m, monomials))

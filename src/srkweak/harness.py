@@ -276,6 +276,8 @@ def estimate_weak_error(
         raise ValueError("need at least two batches for a standard error")
     if n_per_batch < 1:
         raise ValueError("need at least one path per batch")
+    if seed < 0:
+        raise ValueError(f"the seed must be a non-negative integer, got {seed}")
     n_steps = _steps_for(setup.T, h)
     problem = setup.make()
     means = np.empty(n_batches)
@@ -284,9 +286,10 @@ def estimate_weak_error(
         try:
             X = integrate_paths(problem, method, setup.x0, h, n_steps, n_per_batch, rng)
         except StepError as exc:
-            raise StepError(
-                f"{setup.name}/{method.name} batch {b} (h={h}, seed={seed}): {exc}"
-            ) from exc
+            # the same class with the same context (h, method, where)
+            wrapped = type(exc)(f"{setup.name}/{method.name} batch {b} (h={h}, seed={seed}): {exc}")
+            wrapped.__dict__.update(exc.__dict__)
+            raise wrapped from exc
         means[b] = float(np.mean(setup.observable.phi(X)))
     estimate = float(np.mean(means))
     stderr = float(np.std(means, ddof=1) / math.sqrt(n_batches))
@@ -424,6 +427,8 @@ def run_invariant_measure(
         raise ValueError("need at least one post-burn-in step")
     if burn_in < 0:
         raise ValueError(f"the burn-in must not be negative, got {burn_in}")
+    if seed < 0:
+        raise ValueError(f"the seed must be a non-negative integer, got {seed}")
     steps_per_chain = int(math.ceil(n_steps / n_chains))
     total = burn_in + steps_per_chain
     if x0 is None:

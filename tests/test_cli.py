@@ -187,8 +187,15 @@ def test_input_errors_print_one_line_and_exit_2(argv, tmp_path, capsys):
         ["invariant", "--h", "0.1", "--steps", "10", "--burn-in", "-5"],
         ["invariant", "--h", "0", "--steps", "10"],
         ["invariant", "--h", "-0.1", "--steps", "10"],
+        ["forests", "--max-order", "-1"],
+        ["forests", "--max-order", "0"],
+        ["converge", "sinh1d", "BDK2", "--h", "0.5,0.25", "--seed", "-3"],
+        ["invariant", "--h", "0.1", "--steps", "10", "--seed", "-1"],
     ],
-    ids=["paths_0", "steps_0", "negative_burn_in", "h_0", "negative_h"],
+    ids=[
+        "paths_0", "steps_0", "negative_burn_in", "h_0", "negative_h",
+        "max_order_negative", "max_order_0", "converge_negative_seed", "invariant_negative_seed",
+    ],
 )
 def test_impossible_run_sizes_print_one_line_and_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -197,6 +204,8 @@ def test_impossible_run_sizes_print_one_line_and_exit_2(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("srkweak: error: ")
     assert "nan" not in captured.err.lower() and "math domain" not in captured.err
+    if "--seed" in argv:  # the message names the seed and its value
+        assert f"seed must be a non-negative integer, got {argv[-1]}" in lines[0]
 
 
 @pytest.mark.parametrize(

@@ -320,12 +320,14 @@ def test_gl_exponential_requires_homogeneous_order_one():
 
 
 def test_convolution_matches_gl_exponential():
-    for calculus in (ITO, STRATONOVICH):
-        e_gl = exact_flow_coefficients(calculus, 2)
-        e_cv = convolution_exp(generator_map(calculus), 2)
+    """Grossman-Larson grafting and BCK cutting give one exponential; order 3
+    runs both on all 635 order-3 exotic forests."""
+    for calculus, order in itertools.product((ITO, STRATONOVICH), (2, 3)):
+        e_gl = exact_flow_coefficients(calculus, order)
+        e_cv = convolution_exp(generator_map(calculus), order)
         assert e_cv(DecoratedForest.empty()) == 1
-        for f in enumerate_forests(2, exotic_only=True):
-            assert e_gl(f) == e_cv(f), f.text
+        for f in enumerate_forests(order, exotic_only=True):
+            assert e_gl(f) == e_cv(f), (calculus, f.text)
 
 
 def test_convolution_exp_rejects_higher_order_support():

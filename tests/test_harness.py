@@ -21,7 +21,7 @@ from srkweak.harness import (
     table_to_json,
 )
 from srkweak.randvars import ITO, STRATONOVICH
-from srkweak.stepper import SdeProblem, integrate_paths
+from srkweak.stepper import ImplicitSolveError, NonFiniteStateError, SdeProblem, integrate_paths
 from srkweak.tableau import registry_get
 
 
@@ -92,6 +92,30 @@ def test_estimate_weak_error_argument_checks():
         estimate_weak_error(setup, registry_get("BDK1"), 0.3, 4, 8, seed=0)  # T/h not whole
     with pytest.raises(ValueError):
         estimate_weak_error(setup, registry_get("BDK1"), 0.25, 1, 8, seed=0)  # one batch
+
+
+def _linear_setup(drift, name):
+    """dX = drift(X) dt + 0.5 X dW from X(0) = 1 to T = 2, observing X."""
+    return harness.ProblemSetup(
+        problem_factory=lambda: SdeProblem(1, 1, ITO, [drift, lambda x: 0.5 * x], label=name),
+        observable=harness.Observable(phi=lambda x: x[:, 0]),
+        x0=np.array([1.0]),
+        T=2.0,
+        name=name,
+    )
+
+
+def test_weak_error_keeps_the_class_and_context_of_a_step_failure():
+    # stiff drift: ItoDIRKEX's implicit drift stage does not converge at h = 1/4
+    stiff = _linear_setup(lambda x: -20.0 * x, "stiff")
+    with pytest.raises(ImplicitSolveError, match=r"^stiff/ItoDIRKEX batch 0 \(h=0.25, seed=1\): fixed point"):
+        estimate_weak_error(stiff, registry_get("ItoDIRKEX"), 0.25, 2, 10, seed=1)
+    # cubic drift: BDK1 overflows at the fourth step of h = 1/2
+    cubic = _linear_setup(lambda x: x * x * x, "cubic")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteStateError) as info:
+        estimate_weak_error(cubic, registry_get("BDK1"), 0.5, 2, 10, seed=1)
+    assert str(info.value).startswith("cubic/BDK1 batch 0 (h=0.5, seed=1): non-finite state at step 4/4")
+    assert (info.value.where, info.value.h, info.value.method) == ((3, 9), 0.5, "BDK1")
 
 
 def test_run_convergence_requires_decreasing_h():
