@@ -24,7 +24,7 @@ import sys
 
 from . import conditions, forests, harness
 from .randvars import ITO, STRATONOVICH
-from .stepper import family_for_method
+from .stepper import StepError, family_for_method
 from .tableau import UnknownMethodError, load_method, registry_get, registry_names
 
 
@@ -64,6 +64,8 @@ def _cmd_converge(args) -> int:
     h_list = [float(tok) for tok in args.h.split(",")]
     if len(h_list) < 2:
         raise ValueError("--h needs at least two step sizes for a slope")
+    if args.out:
+        open(args.out, "w").close()  # an unwritable path fails before the sweep, not after it
     table = harness.run_convergence(setup, method, h_list, args.batches, args.paths, args.seed)
     if args.out:
         harness.table_to_csv(table, args.out, setup)
@@ -215,9 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand; bad input (an unknown name, an invalid value, a
-    missing or malformed method file) prints one ``srkweak: error:`` line and
-    returns 2, as argparse does for a malformed command line.  Output into a
-    pipe that its reader closed ends the command without a traceback."""
+    missing or malformed method file, an unwritable output path) and a failed
+    step print one ``srkweak: error:`` line and return 2, as argparse does for
+    a malformed command line.  Output into a pipe that its reader closed ends
+    the command without a traceback."""
     args = build_parser().parse_args(argv)
     try:
         status = args.func(args)
@@ -229,7 +232,7 @@ def main(argv=None) -> int:
         # stdout at /dev/null so the interpreter's final flush cannot fail too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _SIGPIPE_STATUS
-    except (KeyError, ValueError, FileNotFoundError) as exc:
+    except (KeyError, ValueError, OSError, StepError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"srkweak: error: {message}", file=sys.stderr)
         return 2

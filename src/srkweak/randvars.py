@@ -17,26 +17,26 @@ scalar variables per step instead of ``2m+1`` (and only ``m`` when ``m = 1``,
 since ``eta_0`` enters only the mixed entries ``Theta[p][q]``, p != q >= 1).
 
 A draw is carried by its generators ``(theta, eta)``, two arrays of shape
-(..., m+1) (:func:`draws_from_uniforms`, :class:`NoiseDraw`).  Every stepping
-path, single steps and the Langevin chain included, reads the entries of
-Theta it needs per noise column from :func:`mixing_coefficients`; the dense
-Theta (:func:`dense_theta`) is built only for the atom table, whose moment
-kernel reads it, and on request as ``NoiseDraw.Theta``.  The coefficients are
-noise-major rows, (m, ...), and batched generators are stored noise-major and
-returned as transposed (Fortran-order) views, so each noise is a contiguous
-row of the batch; the values do not depend on the storage order.
+(..., m+1) (:func:`draws_from_uniforms`, :class:`NoiseDraw`); no dense
+(m+1) x (m+1) Theta is ever built.  Every stepping path, single steps and the
+Langevin chain included, reads the entries of Theta it needs per noise column
+from :func:`mixing_coefficients`, the one place where the entry formulas
+live.  The coefficients are noise-major rows, (m, ...), and batched
+generators are stored noise-major and returned as transposed (Fortran-order)
+views, so each noise is a contiguous row of the batch; the values do not
+depend on the storage order.
 
 The sample space is finite, so every moment is available exactly through
 :func:`enumerate_atoms`, whose atom table is the sampler's own outcome set:
 the distinct draws of :func:`draws_from_uniforms` and their probabilities,
-with every theta and Theta entry as one contiguous column per entry.  One
-kernel gives exact moments: a set of monomials (:class:`Monomials`, checked
-once when built) is one pass over the table that starts from the
-probabilities, multiplies in the factor columns position by position and
-sums each row, and :func:`expectations` memoizes that row on the table it
-read.  :func:`moment` is the one-row case of :func:`expectations`.  The
-expectation checks elsewhere use tolerance 1e-12 because the support points
-involve ``sqrt(3)`` arithmetic.
+with theta_0..theta_m and the rows of :func:`mixing_coefficients` as its
+moment columns.  One kernel gives exact moments: a set of monomials
+(:class:`Monomials`, checked once when built) is one pass over the table
+that starts from the probabilities, multiplies in the factor columns
+position by position and sums each row, and :func:`expectations` memoizes
+that row on the table it read.  :func:`moment` is the one-row case of
+:func:`expectations`.  The expectation checks elsewhere use tolerance 1e-12
+because the support points involve ``sqrt(3)`` arithmetic.
 
 Families and atom tables are immutable and shareable; :func:`sample_draw`
 requires exclusive access to its generator stream.
@@ -71,7 +71,6 @@ __all__ = [
     "expectations",
     "draws_from_uniforms",
     "mixing_coefficients",
-    "dense_theta",
 ]
 
 MAX_ATOM_NOISES = 3
@@ -162,8 +161,8 @@ class NoiseDraw:
     """One step's realization: its family and generators ``theta``, ``eta``.
 
     The generators have shape (m+1,), or (n, m+1) for a batch of n draws, as
-    :func:`draws_from_uniforms` returns them; ``Theta`` is derived from them
-    on each access.  Slotted: an atom table holds one per atom (1024 for m = 3).
+    :func:`draws_from_uniforms` returns them.  Slotted: an atom table holds
+    one per atom (1024 for m = 3).
     """
 
     family: RvFamily
@@ -178,23 +177,17 @@ class NoiseDraw:
     def calculus(self) -> str:
         return self.family.calculus
 
-    @property
-    def Theta(self) -> np.ndarray:
-        """The dense matrix Theta, shape (..., m+1, m+1), read-only."""
-        Theta = dense_theta(self.family, self.theta, self.eta)
-        Theta.setflags(write=False)
-        return Theta
-
 
 @dataclass(frozen=True, eq=False)
 class AtomTable:
     """The sampler's outcome set of a family, as read-only batched arrays.
 
-    Row k of ``probs`` (N,), ``theta`` and ``eta`` (N, m+1) and ``Theta``
-    (N, m+1, m+1) is atom k: its probability, its generators and its matrix
-    Theta.  ``Theta`` is a view of ``columns`` (K, N), which holds one
-    contiguous row per entry for the moment kernel: theta_0..theta_m, then
-    Theta[p][q] row by row (:func:`_column_index`).  ``_moments`` memoizes
+    Row k of ``probs`` (N,) and of ``theta`` and ``eta`` (N, m+1) is atom k:
+    its probability and its generators.  ``columns`` (K, N) holds one
+    contiguous row per moment factor: theta_0..theta_m, then the rows
+    ``row0``, ``col0`` (ones in the c=1/2 variant), ``diag``, ``up`` and
+    ``low`` (m > 1 only) of :func:`mixing_coefficients`; each Theta[p][q] is
+    one of them (:func:`_column_index`).  ``_moments`` memoizes
     :func:`expectations` (a read-only row per :class:`Monomials`, so
     :func:`moment` too); it lives and dies with the table, so whatever bounds
     the atom cache bounds it too.
@@ -205,7 +198,6 @@ class AtomTable:
     probs: np.ndarray
     theta: np.ndarray
     eta: np.ndarray
-    Theta: np.ndarray
     columns: np.ndarray
     _moments: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -320,30 +312,6 @@ def mixing_coefficients(family: RvFamily, theta: np.ndarray, eta: np.ndarray):
     return row0, col0, diag, th * (1.0 + e[0]), th * (1.0 - e[0])
 
 
-def dense_theta(family: RvFamily, theta: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """The matrix Theta of draws given by their generators, shape (..., m+1, m+1).
-
-    Built for the atom table, whose moment kernel reads every entry, and for
-    ``NoiseDraw.Theta``; every stepping path mixes its stages from
-    :func:`mixing_coefficients` instead.
-    """
-    m = theta.shape[-1] - 1
-    row0, col0, diag, up, low = (
-        None if a is None else a.T for a in mixing_coefficients(family, theta, eta)
-    )
-    Theta = np.zeros(theta.shape[:-1] + (m + 1, m + 1))
-    Theta[..., 0, 0] = 1.0
-    Theta[..., 0, 1:] = row0
-    Theta[..., 1:, 0] = 1.0 if col0 is None else col0
-    if up is not None:
-        for p in range(1, m + 1):
-            Theta[..., p, p + 1 :] = up[..., p:]
-            Theta[..., p, 1:p] = low[..., : p - 1]
-    idx = np.arange(1, m + 1)
-    Theta[..., idx, idx] = diag
-    return Theta
-
-
 def sample_draw(family: RvFamily, m: int, rng: np.random.Generator) -> NoiseDraw:
     """Sample one step's draw; consumes exactly ``rv_count(m)`` uniforms from rng."""
     if m < 1:
@@ -392,12 +360,12 @@ def enumerate_atoms(family: RvFamily, m: int) -> AtomTable:
     if cached is not None:
         return cached
     probs, theta, eta = _outcomes(family.calculus, family.half_variant, m)
-    Theta = dense_theta(family, theta, eta)
-    # one contiguous row per entry; Theta becomes a view of it
-    columns = np.concatenate((theta.T, Theta.reshape(len(theta), -1).T))
+    row0, col0, diag, up, low = mixing_coefficients(family, theta, eta)
+    if col0 is None:  # the c=1/2 variant: every Theta[p][0] is 1
+        col0 = np.ones_like(row0)
+    columns = np.concatenate([a for a in (theta.T, row0, col0, diag, up, low) if a is not None])
     columns.setflags(write=False)
-    Theta = columns[m + 1 :].reshape(m + 1, m + 1, -1).transpose(2, 0, 1)
-    table = AtomTable(m, family, probs, theta, eta, Theta, columns)
+    table = AtomTable(m, family, probs, theta, eta, columns)
     _ATOM_CACHE[key] = table
     return table
 
@@ -414,7 +382,12 @@ def _column_index(factor, m: int) -> int:
         raise ValueError(f"factor {factor!r} references a noise index beyond m={m}")
     if kind == "theta":
         return indices[0]
-    return (m + 1) * (indices[0] + 1) + indices[1]
+    p, q = indices
+    if p == q == 0:
+        return 0  # Theta[0][0] = 1 = theta_0
+    # blocks of m rows after theta_0..theta_m, indexed by noise q (p in col0)
+    block = 0 if p == 0 else 1 if q == 0 else 2 if p == q else 3 if q > p else 4
+    return m + block * m + (q or p)
 
 
 _CHUNK_ROWS = 64  # per kernel pass: two (rows, atoms) arrays, 1 MiB at 1024 atoms

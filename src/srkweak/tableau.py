@@ -164,17 +164,14 @@ def tableaux_equal(a: MethodTableau, b: MethodTableau) -> bool:
 
 @dataclass
 class ValidationReport:
-    findings: list = field(default_factory=list)  # (severity, message)
+    findings: list = field(default_factory=list)  # error messages
 
     @property
     def ok(self) -> bool:
-        return not any(sev == "error" for sev, _ in self.findings)
+        return not self.findings
 
     def errors(self):
-        return [msg for sev, msg in self.findings if sev == "error"]
-
-    def warnings(self):
-        return [msg for sev, msg in self.findings if sev == "warning"]
+        return list(self.findings)
 
 
 def _per_tableau(fn):
@@ -253,12 +250,11 @@ def stage_evaluation_order(t: MethodTableau):
     return None if any(c for _, c in blocks) else [n for nodes, _ in blocks for n in nodes]
 
 
-def validate(t: MethodTableau, check_order: bool = True, tol: float = 1e-13) -> ValidationReport:
-    """Shape/range/structure checks; warnings when a declared weak order 2 fails
-    its reduced condition system."""
+def validate(t: MethodTableau) -> ValidationReport:
+    """Shape/range/structure checks only; :mod:`srkweak.conditions` checks the
+    order conditions."""
     report = ValidationReport()
-    err = lambda msg: report.findings.append(("error", msg))
-    warn = lambda msg: report.findings.append(("warning", msg))
+    err = report.findings.append
 
     if t.calculus not in CALCULI:
         err(f"unknown calculus {t.calculus!r}")
@@ -294,18 +290,6 @@ def validate(t: MethodTableau, check_order: bool = True, tol: float = 1e-13) -> 
 
     if t.structure == EXPLICIT and stage_evaluation_order(t) is None:
         err("structure declared explicit but the stage dependencies are cyclic")
-
-    if check_order and t.weak_order >= 2:
-        from . import conditions
-
-        reduced = conditions.check_reduced(t, tolerance=tol)
-        for rec in reduced.records:
-            if not rec.satisfied:
-                warn(
-                    f"declared weak order 2 but reduced condition {rec.id} "
-                    f"({rec.description}) is violated: lhs={rec.lhs:.6g}, "
-                    f"target={rec.target:.6g}"
-                )
     return report
 
 
@@ -712,7 +696,7 @@ def tableau_from_dict(data: dict) -> MethodTableau:
         weak_order=int(data.get("weak_order", 1)),
         structure=data.get("structure", EXPLICIT),
     )
-    report = validate(t, check_order=False)
+    report = validate(t)
     if not report.ok:
         raise TableauError("invalid tableau: " + "; ".join(report.errors()))
     return t

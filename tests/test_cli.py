@@ -221,3 +221,30 @@ def test_converge_rejects_bad_step_sizes_before_simulating(h, message, capsys, m
     monkeypatch.setattr(harness, "integrate_paths", no_simulation)
     assert main(["converge", "det_exponential", "BDK2", "--h", h]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_a_failed_step_prints_one_line_and_exits_2(capsys):
+    # the fixed-point solve of ItoDIRKEX's implicit drift stage does not converge at h = 2
+    argv = ["converge", "sinh1d", "ItoDIRKEX", "--h", "2,1", "--batches", "2", "--paths", "10"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("srkweak: error: sinh1d/ItoDIRKEX batch 0 (h=2.0, seed=0): fixed point")
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_converge_rejects_an_unwritable_output_before_simulating(target, tmp_path, capsys, monkeypatch):
+    from srkweak import harness
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before opening the output")
+
+    monkeypatch.setattr(harness, "run_convergence", no_simulation)
+    out = tmp_path / "missing" / "table.csv" if target == "missing_dir" else tmp_path
+    assert main(["converge", "det_exponential", "BDK2", "--h", "0.5,0.25", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("srkweak: error: ") and str(out) in lines[0]

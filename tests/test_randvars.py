@@ -18,7 +18,6 @@ from srkweak.randvars import (
     FamilyError,
     Monomials,
     RvFamily,
-    dense_theta,
     draws_from_uniforms,
     enumerate_atoms,
     expectations,
@@ -116,16 +115,16 @@ def test_draw_invariants():
         for _ in range(200):
             d = sample_draw(f, 2, rng)
             assert d.theta[0] == 1.0
-            assert d.Theta[0, 0] == 1.0
+            _, _, diag, up, low = mixing_coefficients(f, d.theta, d.eta)
             for p in (1, 2):
                 t = d.theta[p]
                 expected = (-3.0 * t + t**3) if calculus == ITO else t
-                assert d.Theta[p, p] == pytest.approx(expected, abs=1e-14)
-            # (1+eta0)(1-eta0) = 0 makes one of the mixed entries vanish
-            assert d.Theta[1, 2] * d.Theta[2, 1] == 0.0
+                assert diag[p - 1] == pytest.approx(expected, abs=1e-14)
+            # (1+eta0)(1-eta0) = 0 makes one of the mixed entries Theta[1][2], Theta[2][1] vanish
+            assert up[1] * low[0] == 0.0
         # and the same holds over the entire sample space
-        for _, atom in enumerate_atoms(f, 2).atoms:
-            assert atom.Theta[1, 2] * atom.Theta[2, 1] == 0.0
+        Theta = _table_entries(enumerate_atoms(f, 2))
+        assert np.all(Theta[:, 1, 2] * Theta[:, 2, 1] == 0.0)
 
 
 def test_ito_theta_support_values():
@@ -194,7 +193,7 @@ def test_empirical_moments_match_exact():
     rng = np.random.default_rng(99)
     u = rng.random((n, f.rv_count(m)))
     theta, eta = draws_from_uniforms(f, m, u)
-    Theta = dense_theta(f, theta, eta)
+    Theta = _assemble_reference(f, m, eta, theta[:, 1:])
     checks = [
         (theta[:, 1] ** 2, [(("theta", 1), 2)]),
         (theta[:, 1] ** 4, [(("theta", 1), 4)]),
@@ -222,8 +221,11 @@ def test_sample_stream_use_is_rv_count():
 def test_half_variant_entries():
     rng = np.random.default_rng(6)
     d = sample_draw(fam(ITO, 0.5), 2, rng)
-    assert np.allclose(d.Theta[0, 1:], d.theta[1:])
-    assert np.allclose(d.Theta[1:, 0], 1.0)
+    row0, col0, _, _, _ = mixing_coefficients(fam(ITO, 0.5), d.theta, d.eta)
+    assert np.array_equal(row0, d.theta[1:])
+    assert col0 is None  # every Theta[p][0] is 1
+    Theta = _table_entries(enumerate_atoms(fam(ITO, 0.5), 2))
+    assert np.all(Theta[:, 1:, 0] == 1.0)
 
 
 FAMILIES = [(cal, c) for cal in (ITO, STRATONOVICH) for c in (0.5, 0.25, 1.0 / 3.0)]
@@ -254,15 +256,34 @@ def _assemble_reference(family, m, eta, theta_raw):
     return Theta
 
 
+def _dense(rows, m):
+    """Theta, shape (N, m+1, m+1), read from rows (K, N) in the atom table's column layout."""
+    return np.stack(
+        [np.stack([rows[randvars._column_index(("Theta", p, q), m)] for q in range(m + 1)], axis=-1)
+         for p in range(m + 1)],
+        axis=-2,
+    )
+
+
+def _table_entries(table):
+    """Every Theta[p][q] of an atom table, read from its moment columns."""
+    return _dense(table.columns, table.m)
+
+
 @pytest.mark.parametrize("calculus,c", FAMILIES)
 @pytest.mark.parametrize("m", [1, 2, 3, 10])
 def test_dense_theta_matches_entrywise_reference(calculus, c, m):
+    # the rows of mixing_coefficients, laid out as the atom table lays them
+    # out, give every Theta[p][q] of the entry-by-entry reference
     f = fam(calculus, c)
     u = np.random.default_rng(m).random((500, f.rv_count(m)))
     theta, eta = draws_from_uniforms(f, m, u)
     assert theta.shape == eta.shape == (500, m + 1)
     assert np.all(theta[:, 0] == 1.0)
-    Theta = dense_theta(f, theta, eta)
+    row0, col0, diag, up, low = mixing_coefficients(f, theta, eta)
+    assert (col0 is None) == f.half_variant and (up is None) == (low is None) == (m == 1)
+    rows = [theta.T, row0, np.ones_like(row0) if col0 is None else col0, diag] + ([up, low] if m > 1 else [])
+    Theta = _dense(np.concatenate(rows), m)
     assert np.array_equal(Theta, _assemble_reference(f, m, eta, theta[:, 1:]))
 
 
@@ -299,20 +320,22 @@ def test_atoms_are_dense_theta_of_their_generators(calculus, c):
     f = fam(calculus, c)
     support, probs = f.theta_support
     for m in (1, 2, 3):
-        atoms = enumerate_atoms(f, m).atoms
+        table = enumerate_atoms(f, m)
+        atoms, Theta = table.atoms, _table_entries(table)
         # draws_from_uniforms' column order, the first variable outermost:
         # eta_0 when m > 1, theta_1..theta_m, eta_1..eta_m unless c = 1/2
         eta0s = (1.0, -1.0) if m > 1 else (1.0,)
         etas = [(1.0,) * m] if f.half_variant else list(itertools.product((1.0, -1.0), repeat=m))
         outcomes = itertools.product(eta0s, itertools.product(range(len(support)), repeat=m), etas)
         n_signs = (m > 1) + (0 if f.half_variant else m)
-        for (prob, draw), (eta0, idx, eta) in zip(atoms, outcomes, strict=True):
+        for k, ((prob, draw), (eta0, idx, eta)) in enumerate(zip(atoms, outcomes, strict=True)):
             assert prob == 0.5**n_signs * math.prod(probs[i] for i in idx)
             theta = np.array((1.0,) + tuple(support[i] for i in idx))
             assert np.array_equal(draw.theta, theta)
             assert np.array_equal(draw.eta, (eta0,) + eta)
-            assert np.array_equal(draw.Theta, dense_theta(f, theta, np.array((eta0,) + eta)))
-            assert not draw.theta.flags.writeable and not draw.Theta.flags.writeable
+            # the atom's moment columns hold the reference Theta of these generators
+            assert np.array_equal(Theta[k], _assemble_reference(f, m, np.array((eta0,) + eta), theta[1:]))
+            assert not draw.theta.flags.writeable and not draw.eta.flags.writeable
 
 
 @pytest.mark.parametrize("calculus", [ITO, STRATONOVICH])
@@ -336,16 +359,30 @@ def test_atom_table_arrays_are_the_rows_of_its_atoms(calculus, c):
         table = enumerate_atoms(fam(calculus, c), m)
         assert table.probs.shape == (len(table.atoms),)
         assert table.theta.shape == table.eta.shape == (len(table.atoms), m + 1)
-        assert table.Theta.shape == (len(table.atoms), m + 1, m + 1)
-        for array in (table.probs, table.theta, table.eta, table.Theta):
+        # theta_0..theta_m, then row0, col0, diag and, when m > 1, up and low: m rows each
+        assert table.columns.shape == (m + 1 + (5 if m > 1 else 3) * m, len(table.atoms))
+        for array in (table.probs, table.theta, table.eta, table.columns):
             assert not array.flags.writeable
         for k, (prob, draw) in enumerate(table.atoms):
             assert type(prob) is float and prob == table.probs[k]
             assert draw.family == table.family and draw.m == m
             assert draw.theta.tobytes() == table.theta[k].tobytes()
             assert draw.eta.tobytes() == table.eta[k].tobytes()
-            # the draw derives Theta from its generators, bit for bit the table's
-            assert draw.Theta.tobytes() == table.Theta[k].tobytes()
+
+
+@pytest.mark.parametrize("calculus,c", FAMILIES)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_atom_columns_and_entry_moments_equal_the_reference(calculus, c, m):
+    """Each Theta[p][q] row of the moment columns is the reference entry at every
+    atom, bit for bit, and its moment is the probability-weighted reference."""
+    f = fam(calculus, c)
+    table = enumerate_atoms(f, m)
+    reference = _assemble_reference(f, m, table.eta, table.theta[:, 1:])
+    for p in range(m + 1):
+        for q in range(m + 1):
+            column = table.columns[randvars._column_index(("Theta", p, q), m)]
+            assert column.tobytes() == reference[:, p, q].tobytes(), (p, q)
+            assert moment(f, m, [(("Theta", p, q), 1)]) == float((table.probs * reference[:, p, q]).sum()), (p, q)
 
 
 def test_moment_rejects_a_negative_exponent():
@@ -367,13 +404,12 @@ def test_moment_matches_per_atom_fsum(calculus, c, m):
     factors = _all_factors(m)
     atoms = enumerate_atoms(f, m).atoms
     probs = np.array([prob for prob, _ in atoms])
-    # column j: factor j's value on every atom, read draw by draw
-    values = np.array(
-        [
-            [float(draw.theta[fac[1:]] if fac[0] == "theta" else draw.Theta[fac[1:]]) for fac in factors]
-            for _, draw in atoms
-        ]
-    )
+    # column j: factor j's value on every atom, read draw by draw, Theta from the reference
+    values = []
+    for _, draw in atoms:
+        Theta = _assemble_reference(f, m, draw.eta, draw.theta[1:])
+        values.append([float(draw.theta[fac[1:]] if fac[0] == "theta" else Theta[fac[1:]]) for fac in factors])
+    values = np.array(values)
     for degree in range(5):
         for combo in itertools.combinations_with_replacement(range(len(factors)), degree):
             terms = probs.copy()
@@ -415,8 +451,9 @@ def test_atom_tables_of_fresh_c_stay_small():
 
 def _weighted_sum(table, monomial):
     value = table.probs
+    Theta = _assemble_reference(table.family, table.m, table.eta, table.theta[:, 1:])
     for factor, exponent in monomial:
-        column = table.theta[:, factor[1]] if factor[0] == "theta" else table.Theta[:, factor[1], factor[2]]
+        column = table.theta[:, factor[1]] if factor[0] == "theta" else Theta[:, factor[1], factor[2]]
         value = value * column**exponent
     return float(value.sum())
 
@@ -498,7 +535,7 @@ def test_monomial_sets_raise_the_errors_of_moment(bad, match):
 def test_monomial_sets_pad_with_theta_zero_and_compare_by_value():
     sets = [Monomials(2, [[("theta", 1), ("theta", 1)], [], [("Theta", 2, 1)]]) for _ in range(2)]
     assert sets[0] == sets[1] and hash(sets[0]) == hash(sets[1]) and sets[0] is not sets[1]
-    assert sets[0].index.tolist() == [[1, 1], [0, 0], [3 * 3 + 1, 0]]
+    assert sets[0].index.tolist() == [[1, 1], [0, 0], [3 + 4 * 2, 0]]  # Theta[2][1] is low[1]
     f = fam(STRATONOVICH, 0.3)
     row = expectations(f, sets[0])
     assert expectations(f, sets[1]) is row  # an equal set hits the first one's memo

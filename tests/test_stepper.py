@@ -13,7 +13,6 @@ from srkweak.randvars import (
     STRATONOVICH,
     NoiseDraw,
     RvFamily,
-    dense_theta,
     draws_from_uniforms,
     mixing_coefficients,
     sample_draw,
@@ -32,6 +31,7 @@ from srkweak.stepper import (
     step,
 )
 from srkweak.tableau import registry_get, registry_names, stage_evaluation_order
+from test_randvars import _assemble_reference
 
 S3 = math.sqrt(3.0)
 
@@ -60,7 +60,8 @@ def test_euler_with_constant_noise_field():
     prob = SdeProblem(1, 1, ITO, [lambda x: np.zeros_like(x), lambda x: np.ones_like(x)])
     theta1 = math.sqrt(2.0 + S3)
     draw = manual_draw(family_for_method(em), [1.0, theta1], [1.0, 1.0])
-    assert draw.Theta.tolist() == [[1.0, theta1], [1.0, -3 * theta1 + theta1**3]]
+    Theta = _assemble_reference(draw.family, 1, draw.eta, draw.theta[1:])
+    assert Theta.tolist() == [[1.0, theta1], [1.0, -3 * theta1 + theta1**3]]
     out = step(prob, em, np.array([0.0]), 1.0, draw)
     assert out[0] == theta1
 
@@ -214,7 +215,8 @@ def test_implicit_stage_solution_matches_direct_linear_solve(name):
     s1, s2 = t.s1, t.s2
     n = s1 + s2
     K = np.zeros((n, n))
-    th01, th10, th11 = draw.Theta[0, 1], draw.Theta[1, 0], draw.Theta[1, 1]
+    Theta = _assemble_reference(fam, 1, draw.eta, draw.theta[1:])
+    th01, th10, th11 = Theta[0, 1], Theta[1, 0], Theta[1, 1]
     # at m = 1 the only stochastic entry is the diagonal q = p, which
     # Stratonovich methods read from Bhat1
     B_diag = t.Bhat1 if t.calculus == STRATONOVICH else t.B1
@@ -382,7 +384,7 @@ def test_langevin_x_chain_variance_matches_closed_form():
 @pytest.mark.parametrize("m", [2, 3, 10])
 def test_langevin_inner_stage_matches_dense_einsum(m):
     # the inner stages H + sqrt(h/2) sum_q Theta[p][q] D_q(H), mixed from the
-    # generators, against the dense O(m^2) sum over draw.Theta
+    # generators, against the dense O(m^2) sum over the reference Theta
     fam = RvFamily.make(ITO, 0.5)
     rng = np.random.default_rng(m)
     n, d, h = 50, 3, 0.25
@@ -399,7 +401,7 @@ def test_langevin_inner_stage_matches_dense_einsum(m):
     langevin_postprocessed_step(F, D, LangevinState(x, xbar), h, draw)
     H, inner = calls[0], calls[1:]
     assert len(inner) == m
-    DH, Theta = D(H), draw.Theta[:, 1:, 1:]
+    DH, Theta = D(H), _assemble_reference(fam, m, draw.eta, draw.theta[:, 1:])[:, 1:, 1:]
     root_half_h = math.sqrt(h / 2.0)
     want = H[:, None, :] + root_half_h * np.einsum("ndq,npq->npd", DH, Theta)
     # rounding bound: 1e-14 of the summed magnitudes of the terms
@@ -430,7 +432,7 @@ def test_structured_mixing_matches_dense_einsum(calculus, c, m):
     no_U, V_alone = _mix(coefficients, F, strato, False, True)
     assert no_U is None and no_V is None
     assert np.array_equal(U_alone, U) and np.array_equal(V_alone, V)
-    Theta = dense_theta(fam, theta, eta)
+    Theta = _assemble_reference(fam, m, eta, theta[:, 1:])
     Thpq = Theta[:, 1:, 1:].copy()
     if strato:
         Thpq[:, np.arange(m), np.arange(m)] = 0.0

@@ -111,27 +111,6 @@ def test_registered_methods_validate_clean():
         assert report.findings == [], (name, report.findings)
 
 
-def test_validate_flags_weak_order_violation():
-    t = registry_get("BDK1")
-    bad = make_tableau(
-        "BDK1-broken",
-        ITO,
-        alpha=[0.5, 1.0 / 3.0],
-        beta=t.beta,
-        A0=t.A0,
-        B0=t.B0,
-        A1=t.A1,
-        B1=t.B1,
-        c=t.c,
-        det_order=2,
-        weak_order=2,
-        structure=EXPLICIT,
-    )
-    report = validate(bad)
-    assert report.ok  # warnings only
-    assert any("ito.1" in msg for msg in report.warnings())
-
-
 def test_validate_structure_and_shape_errors():
     t = registry_get("BDK1")
     missing_bhat = make_tableau(
