@@ -7,7 +7,6 @@ from .forests import (
     DecoratedForest,
     ForestSum,
     bck_coproduct,
-    canonicalize,
     concat,
     convolution_exp,
     deshuffle,
@@ -36,7 +35,6 @@ from .randvars import (
 )
 from .tableau import (
     MethodTableau,
-    ValidationReport,
     load_method,
     make_tableau,
     registry_get,
@@ -52,7 +50,6 @@ from .conditions import (
     check_all_table,
     check_reduced,
     condition_table,
-    evaluate_table_condition,
 )
 
 __version__ = "0.1.0"

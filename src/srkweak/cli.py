@@ -24,7 +24,7 @@ import sys
 
 from . import conditions, forests, harness
 from .randvars import ITO, STRATONOVICH
-from .stepper import StepError, family_for_method
+from .stepper import StepError
 from .tableau import UnknownMethodError, load_method, registry_get, registry_names
 
 
@@ -104,7 +104,7 @@ def _local_order(coarse, fine) -> float:
 def _cmd_effort(args) -> int:
     method = _get_method(args.method)
     n_d, n_s = harness.evaluation_counts(method, args.m)
-    n_r = family_for_method(method).rv_count(args.m)
+    n_r = method.family.rv_count(args.m)
     print(
         f"{method.name} (m={args.m}): N_d={n_d} N_s={n_s} N_r={n_r} "
         f"effort={n_d + args.m * n_s + n_r}"
@@ -157,15 +157,21 @@ def _cmd_invariant(args) -> int:
         "h": report.h,
         "steps": report.n_steps,
         "chains": report.n_chains,
-        "mean": report.mean.tolist(),
-        "mean_stderr": report.mean_stderr.tolist(),
-        "second_moment": report.second_moment.tolist(),
-        "second_moment_stderr": report.second_moment_stderr.tolist(),
+        "mean": _json_list(report.mean),
+        "mean_stderr": _json_list(report.mean_stderr),
+        "second_moment": _json_list(report.second_moment),
+        "second_moment_stderr": _json_list(report.second_moment_stderr),
     }
     if report.second_moment_error is not None:
-        payload["second_moment_error"] = report.second_moment_error.tolist()
-    print(json.dumps(payload, indent=2))
+        payload["second_moment_error"] = _json_list(report.second_moment_error)
+    print(json.dumps(payload, indent=2, allow_nan=False))
     return 0
+
+
+def _json_list(values) -> list:
+    """An array as a JSON list; JSON has no NaN or infinity, so a non-finite
+    entry (the standard error of a single time batch) is written as null."""
+    return [v if math.isfinite(v) else None for v in values.tolist()]
 
 
 def build_parser() -> argparse.ArgumentParser:

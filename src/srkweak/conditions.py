@@ -22,32 +22,30 @@ Two independent routes are provided:
   c = 1/2) and 26 for Stratonovich (plus one more when c = 1/2), as direct
   numpy contractions of the coefficient blocks.
 
-Rows whose target is zero are sums of expectations that a good choice of
-random variables can satisfy automatically; they are flagged ``superfluous``
-for reporting only.
+Each route takes its target column from the tableau's own calculus.  Rows
+whose target is zero are sums of expectations that a good choice of random
+variables can satisfy automatically; they are flagged ``superfluous`` for
+reporting only.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
 from . import forests
 from .forests import DecoratedForest, enumerate_forests, exact_flow_coefficients, finer_decorations
-from .randvars import ITO, STRATONOVICH, CapacityError
+from .randvars import ITO, STRATONOVICH
 from .tableau import MethodTableau
 
 __all__ = [
     "ConditionRecord",
     "ConditionReport",
     "condition_table",
-    "evaluate_table_condition",
     "check_all_table",
     "check_reduced",
     "render_report",
@@ -67,15 +65,15 @@ class ConditionRecord:
     lhs: float
     target: float
     satisfied: bool
-    tolerance: float
-    target_ito: float = math.nan
-    target_strat: float = math.nan
-    superfluous: bool = False
     forest: str = ""
 
     @property
     def residual(self) -> float:
         return abs(self.lhs - self.target)
+
+    @property
+    def superfluous(self) -> bool:
+        return self.target == 0.0
 
 
 @dataclass
@@ -83,6 +81,7 @@ class ConditionReport:
     method: str
     calculus: str
     kind: str  # "table" | "reduced"
+    tolerance: float
     records: list = field(default_factory=list)
 
     @property
@@ -151,33 +150,18 @@ def _table_program() -> forests.ContractionProgram:
     return forests.contraction_program(tuple(row.forest for row in condition_table()))
 
 
-def evaluate_table_condition(t: MethodTableau, forest: DecoratedForest, noise_labels=None) -> float:
-    """Left-hand side of one table row for a method: the generic forest rule."""
-    if forest.order > 2:
-        raise CapacityError("condition table covers forests of order <= 2")
-    return forests.rk_coefficient_map(t, forest, noise_labels=noise_labels)
-
-
-def check_all_table(
-    t: MethodTableau,
-    calculus: Optional[str] = None,
-    tolerance: float = TABLE_TOLERANCE,
-) -> ConditionReport:
-    """Evaluate all 43 order-two condition rows against one target column."""
-    calculus = calculus or t.calculus
-    report = ConditionReport(method=t.name, calculus=calculus, kind="table")
+def check_all_table(t: MethodTableau, tolerance: float = TABLE_TOLERANCE) -> ConditionReport:
+    """Evaluate all 43 order-two condition rows against the target column of
+    the method's calculus."""
+    report = ConditionReport(method=t.name, calculus=t.calculus, kind="table", tolerance=tolerance)
     for row, lhs in zip(condition_table(), _table_program().evaluate(t)):
-        target = row.float_ito if calculus == ITO else row.float_strat
+        target = row.float_ito if t.calculus == ITO else row.float_strat
         rec = ConditionRecord(
             id=row.id,
             description=row.description,
             lhs=lhs,
             target=target,
             satisfied=abs(lhs - target) <= tolerance,
-            tolerance=tolerance,
-            target_ito=row.float_ito,
-            target_strat=row.float_strat,
-            superfluous=(target == 0.0),
             forest=row.forest.text,
         )
         report.records.append(rec)
@@ -244,7 +228,7 @@ def _strato_reduced(t: MethodTableau):
 
 def check_reduced(t: MethodTableau, tolerance: float = REDUCED_TOLERANCE) -> ConditionReport:
     """Evaluate the reduced weak-order-two condition system of the method's calculus."""
-    report = ConditionReport(method=t.name, calculus=t.calculus, kind="reduced")
+    report = ConditionReport(method=t.name, calculus=t.calculus, kind="reduced", tolerance=tolerance)
     gen = _ito_reduced(t) if t.calculus == ITO else _strato_reduced(t)
     for cid, desc, lhs, target in gen:
         lhs = float(lhs)
@@ -254,13 +238,7 @@ def check_reduced(t: MethodTableau, tolerance: float = REDUCED_TOLERANCE) -> Con
             lhs=lhs,
             target=float(target),
             satisfied=abs(lhs - float(target)) <= tolerance,
-            tolerance=tolerance,
-            superfluous=(target == 0.0),
         )
-        if t.calculus == ITO:
-            rec.target_ito = float(target)
-        else:
-            rec.target_strat = float(target)
         report.records.append(rec)
     return report
 
@@ -288,6 +266,7 @@ def render_report(report: ConditionReport) -> str:
 
 
 def report_to_json(report: ConditionReport) -> str:
+    """The report as strict JSON; a non-finite number raises ValueError."""
     payload = {
         "method": report.method,
         "calculus": report.calculus,
@@ -302,10 +281,10 @@ def report_to_json(report: ConditionReport) -> str:
                 "target": float(rec.target),
                 "residual": float(rec.residual),
                 "satisfied": bool(rec.satisfied),
-                "tolerance": float(rec.tolerance),
+                "tolerance": float(report.tolerance),
                 "superfluous": bool(rec.superfluous),
             }
             for rec in report.records
         ],
     }
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload, indent=2, allow_nan=False)

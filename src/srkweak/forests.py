@@ -17,8 +17,8 @@ tableau on a forest.
 Every operation computes on the canonical encoding of a forest, a sorted
 tuple of ``(decoration, (child, ...))`` trees, and canonicalises its result
 there.  A node/edge graph is read only where a forest enters from outside
-(:meth:`DecoratedForest.from_graph`, :func:`canonicalize`,
-:func:`parse_forest`), and built only by :meth:`DecoratedForest.graph`.
+(:meth:`DecoratedForest.from_graph`, :func:`parse_forest`), and built only
+by :meth:`DecoratedForest.graph`.
 
 All coefficients in this layer are exact rationals; only
 :func:`rk_coefficient_map` returns floats (method tableaux carry irrational
@@ -52,7 +52,6 @@ __all__ = [
     "ForestError",
     "PosetError",
     "CapacityError",
-    "canonicalize",
     "parse_forest",
     "enumerate_forests",
     "symmetry",
@@ -173,15 +172,12 @@ class DecoratedForest:
 
     @classmethod
     def from_graph(cls, nodes, edges, decoration) -> "DecoratedForest":
+        """Canonical form of a raw decorated graph; ``edges`` are (child, parent)."""
         return cls(_canonical_trees(nodes, edges, decoration))
 
     @classmethod
     def empty(cls) -> "DecoratedForest":
         return cls(())
-
-    @classmethod
-    def single(cls, dec: int = 0) -> "DecoratedForest":
-        return cls.from_graph([0], [], {0: dec})
 
     @cached_property
     def _decorations(self) -> tuple:
@@ -240,11 +236,6 @@ class DecoratedForest:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DecoratedForest({self.text!r})"
-
-
-def canonicalize(nodes, edges, decoration) -> DecoratedForest:
-    """Canonical form of a raw decorated graph; ``edges`` are (child, parent)."""
-    return DecoratedForest.from_graph(nodes, edges, decoration)
 
 
 def parse_forest(text: str) -> DecoratedForest:
@@ -405,10 +396,6 @@ class ForestSum:
     @classmethod
     def unit(cls) -> "ForestSum":
         return cls({DecoratedForest.empty(): Fraction(1)})
-
-    @classmethod
-    def zero(cls) -> "ForestSum":
-        return cls()
 
     def coefficient(self, f: DecoratedForest) -> Fraction:
         return self._terms.get(f, _ZERO)
@@ -801,10 +788,9 @@ class ContractionProgram:
         same order as for a forest on its own, so a row's bits do not depend
         on the other forests.
         """
-        family = randvars.RvFamily.make(tableau.calculus, tableau.c)
         weights = np.ones(len(self.root_rows))  # the empty forest's stays 1
         for rows, monomials in self.groups:
-            weights[rows] = randvars.expectations(family, monomials)
+            weights[rows] = randvars.expectations(tableau.family, monomials)
         drift, stochastic = w = (np.empty((self.n_drift, tableau.s1)), np.empty((self.n_stochastic, tableau.s2)))
         edges = {  # block name -> (matrix, the array its child rows live in)
             "A0": (tableau.A0, drift),

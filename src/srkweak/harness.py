@@ -24,13 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .randvars import ITO
-from .stepper import (
-    SdeProblem,
-    StepError,
-    family_for_method,
-    integrate_paths,
-    langevin_chain,
-)
+from .stepper import SdeProblem, StepError, integrate_paths, langevin_chain
 from .tableau import MethodTableau
 
 __all__ = [
@@ -163,22 +157,20 @@ def _det_exponential_problem() -> SdeProblem:
     )
 
 
-def _ou_problem() -> SdeProblem:
-    # overdamped Langevin with V(x) = x^2/2 and unit diffusion: dX = -X dt + sqrt(2) dW
-    root2 = math.sqrt(2.0)
-    return SdeProblem(
-        1, 1, ITO, [lambda x: -x, lambda x: np.full_like(x, root2)], label="ou_langevin"
-    )
+# Overdamped Langevin dynamics dX = F(X) dt + sqrt(2) dW with F = -grad V:
+# name -> (F, stationary mean, stationary second moment), None when unknown.
+# The quadratic V(x) = x^2/2 has the stationary density exp(-x^2/2).
+_POTENTIALS = {
+    "ou": (lambda x: -x, 0.0, 1.0),
+    "doublewell": (lambda x: x - x**3, None, None),  # V(x) = x^4/4 - x^2/2
+}
 
 
-def _doublewell_problem() -> SdeProblem:
+def _langevin_problem(potential: str) -> SdeProblem:
     root2 = math.sqrt(2.0)
+    drift = _POTENTIALS[potential][0]
     return SdeProblem(
-        1,
-        1,
-        ITO,
-        [lambda x: x - x**3, lambda x: np.full_like(x, root2)],
-        label="doublewell_langevin",
+        1, 1, ITO, [drift, lambda x: np.full_like(x, root2)], label=f"{potential}_langevin"
     )
 
 
@@ -218,7 +210,7 @@ def _register_problems():
         name="det_exponential",
     )
     _PROBLEMS["ou_langevin"] = ProblemSetup(
-        problem_factory=_ou_problem,
+        problem_factory=lambda: _langevin_problem("ou"),
         observable=Observable(
             phi=lambda x: x[:, 0] ** 2,
             exact_expectation=lambda t: 1.0 - math.exp(-2.0 * t),
@@ -229,7 +221,7 @@ def _register_problems():
         name="ou_langevin",
     )
     _PROBLEMS["doublewell_langevin"] = ProblemSetup(
-        problem_factory=_doublewell_problem,
+        problem_factory=lambda: _langevin_problem("doublewell"),
         observable=Observable(phi=lambda x: x[:, 0] ** 2, label="second moment"),
         x0=np.array([0.0]),
         T=1.0,
@@ -349,7 +341,7 @@ def evaluation_counts(method: MethodTableau, m: int) -> tuple:
 def effort(method: MethodTableau, m: int) -> int:
     """Computational effort per step, N_d + m*N_s + N_r."""
     n_d, n_s = evaluation_counts(method, m)
-    n_r = family_for_method(method).rv_count(m)
+    n_r = method.family.rv_count(m)
     return n_d + m * n_s + n_r
 
 
@@ -380,21 +372,15 @@ class InvariantMeasureReport:
 def invariant_setup(name: str):
     """(F, D, d, m, exact_mean, exact_second_moment) for a named potential.
 
-    F = -D^2 grad V with D = I; for the quadratic potential the stationary
-    density exp(-x^2/2) has known moments.
+    F = -D^2 grad V with D = I; the exact moments are fresh arrays, or None
+    where they are not known.
     """
-    if name == "ou":
-        F = lambda x: -x
-        exact_mean = np.zeros(1)
-        exact_second = np.ones(1)
-    elif name == "doublewell":
-        F = lambda x: x - x**3
-        exact_mean = None
-        exact_second = None
-    else:
-        raise KeyError(f"unknown potential {name!r}; known: ou, doublewell")
+    if name not in _POTENTIALS:
+        raise KeyError(f"unknown potential {name!r}; known: {', '.join(_POTENTIALS)}")
+    F, mean, second = _POTENTIALS[name]
     D = lambda x: np.ones(x.shape + (1,))
-    return F, D, 1, 1, exact_mean, exact_second
+    fresh = lambda v: None if v is None else np.full(1, v)
+    return F, D, 1, 1, fresh(mean), fresh(second)
 
 
 def run_invariant_measure(
@@ -480,9 +466,9 @@ def run_invariant_measure(
 # output
 
 
-def table_to_rows(table: ConvergenceTable, setup: Optional[ProblemSetup] = None):
+def table_to_rows(table: ConvergenceTable, setup: ProblemSetup):
     exact = None
-    if setup is not None and setup.observable.exact_expectation is not None:
+    if setup.observable.exact_expectation is not None:
         exact = setup.observable.exact_expectation(setup.T)
     rows = []
     for r in table.records:
@@ -501,7 +487,7 @@ def table_to_rows(table: ConvergenceTable, setup: Optional[ProblemSetup] = None)
     return rows
 
 
-def table_to_csv(table: ConvergenceTable, path, setup: Optional[ProblemSetup] = None) -> None:
+def table_to_csv(table: ConvergenceTable, path, setup: ProblemSetup) -> None:
     rows = table_to_rows(table, setup)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(
@@ -512,13 +498,23 @@ def table_to_csv(table: ConvergenceTable, path, setup: Optional[ProblemSetup] = 
         writer.writerows(rows)
 
 
-def table_to_json(table: ConvergenceTable, setup: Optional[ProblemSetup] = None) -> str:
+def _finite_or_none(value):
+    """JSON has no NaN or infinity: a non-finite number is written as null."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def table_to_json(table: ConvergenceTable, setup: ProblemSetup) -> str:
+    rows = [
+        {key: _finite_or_none(value) for key, value in row.items()}
+        for row in table_to_rows(table, setup)
+    ]
     return json.dumps(
         {
             "method": table.method,
             "problem": table.problem,
-            "slope": table.slope,
-            "records": table_to_rows(table, setup),
+            "slope": _finite_or_none(table.slope),
+            "records": rows,
         },
         indent=2,
+        allow_nan=False,
     )

@@ -61,7 +61,6 @@ __all__ = [
     "step",
     "integrate_path",
     "integrate_paths",
-    "family_for_method",
     "LangevinState",
     "langevin_postprocessed_step",
     "langevin_chain",
@@ -120,10 +119,6 @@ class SdeProblem:
     @property
     def diffusion_evals(self) -> np.ndarray:
         return self.eval_counts[1:].copy()
-
-
-def family_for_method(t: MethodTableau) -> RvFamily:
-    return RvFamily.make(t.calculus, t.c)
 
 
 def _nonzero_cols(row: np.ndarray):
@@ -286,7 +281,7 @@ def _check_step_args(problem: SdeProblem, t: MethodTableau, h: float, draw: Opti
     if draw is not None:
         if draw.m != problem.m:
             raise ValueError(f"draw has m={draw.m}, problem has m={problem.m}")
-        family = family_for_method(t)
+        family = t.family
         if draw.family != family:
             raise ValueError(
                 f"draw is from the {draw.calculus} family with c={draw.family.c}, "
@@ -317,7 +312,7 @@ def integrate_path(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """n-fold composition of :func:`step` with a fresh draw per step."""
-    family = family_for_method(t)
+    family = t.family
     x = np.asarray(x0, dtype=float)
     for k in range(n_steps):
         draw = randvars.sample_draw(family, problem.m, rng)
@@ -353,7 +348,7 @@ def integrate_paths(
     sweeps than alone.
     """
     _check_step_args(problem, t, h, None)
-    family = family_for_method(t)
+    family = t.family
     m = problem.m
     k = family.rv_count(m)
     u = rng.random((n_paths, n_steps, k))

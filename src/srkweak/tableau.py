@@ -27,17 +27,16 @@ import json
 import math
 import re
 import weakref
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .randvars import CALCULI, ITO, STRATONOVICH
+from .randvars import CALCULI, ITO, STRATONOVICH, RvFamily
 
 __all__ = [
     "MethodTableau",
-    "ValidationReport",
     "TableauError",
     "UnknownMethodError",
     "TableauFileError",
@@ -111,6 +110,11 @@ class MethodTableau:
     def s2(self) -> int:
         return self.A1.shape[0]
 
+    @property
+    def family(self) -> RvFamily:
+        """The random-variable family the method draws from: its calculus and c."""
+        return RvFamily.make(self.calculus, self.c)
+
 
 def make_tableau(
     name: str,
@@ -160,18 +164,6 @@ def tableaux_equal(a: MethodTableau, b: MethodTableau) -> bool:
 
 # ---------------------------------------------------------------------------
 # validation
-
-
-@dataclass
-class ValidationReport:
-    findings: list = field(default_factory=list)  # error messages
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-    def errors(self):
-        return list(self.findings)
 
 
 def _per_tableau(fn):
@@ -250,19 +242,24 @@ def stage_evaluation_order(t: MethodTableau):
     return None if any(c for _, c in blocks) else [n for nodes, _ in blocks for n in nodes]
 
 
-def validate(t: MethodTableau) -> ValidationReport:
-    """Shape/range/structure checks only; :mod:`srkweak.conditions` checks the
-    order conditions."""
-    report = ValidationReport()
-    err = report.findings.append
+def validate(t: MethodTableau) -> list:
+    """The shape, range, finiteness and structure errors of a tableau, one
+    message each; an empty list means valid.  :mod:`srkweak.conditions`
+    checks the order conditions."""
+    errors = []
+    err = errors.append
 
     if t.calculus not in CALCULI:
         err(f"unknown calculus {t.calculus!r}")
-        return report
+        return errors
     if t.structure not in STRUCTURES:
         err(f"unknown structure {t.structure!r}")
     if not 0.0 < t.c <= 0.5:
         err(f"c must lie in (0, 1/2], got {t.c}")
+    for name in ("alpha", "beta", "A0", "B0", "A1", "B1", "Bhat1", "c"):
+        value = getattr(t, name)
+        if value is not None and not np.all(np.isfinite(value)):
+            err(f"{name} has non-finite entries")
 
     s1, s2 = t.s1, t.s2
     if t.alpha.shape != (s1,):
@@ -285,12 +282,12 @@ def validate(t: MethodTableau) -> ValidationReport:
     elif t.Bhat1 is not None:
         err("Bhat1 is only meaningful for Stratonovich tableaux")
 
-    if not report.ok:
-        return report
+    if errors:
+        return errors
 
     if t.structure == EXPLICIT and stage_evaluation_order(t) is None:
         err("structure declared explicit but the stage dependencies are cyclic")
-    return report
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +640,8 @@ def _parse_entry(value) -> float:
         return float(Fraction(text))
     except ValueError:
         pass
+    except OverflowError:
+        raise TableauFileError(f"tableau entry {value!r} is too large for a float") from None
     match = _SQRT_TERM.match(text)
     if not match:
         raise TableauFileError(f"cannot parse tableau entry {value!r}")
@@ -696,9 +695,9 @@ def tableau_from_dict(data: dict) -> MethodTableau:
         weak_order=int(data.get("weak_order", 1)),
         structure=data.get("structure", EXPLICIT),
     )
-    report = validate(t)
-    if not report.ok:
-        raise TableauError("invalid tableau: " + "; ".join(report.errors()))
+    errors = validate(t)
+    if errors:
+        raise TableauError("invalid tableau: " + "; ".join(errors))
     return t
 
 

@@ -20,7 +20,6 @@ from srkweak import conditions, forests, harness
 from srkweak.forests import (
     DecoratedForest,
     bck_coproduct,
-    canonicalize,
     convolution_exp,
     enumerate_forests,
     exact_flow_coefficients,
@@ -30,7 +29,6 @@ from srkweak.forests import (
     symmetry,
 )
 from srkweak.randvars import ITO, STRATONOVICH, RvFamily, draws_from_uniforms, enumerate_atoms, moment
-from srkweak.stepper import family_for_method
 from srkweak.tableau import registry_get, registry_names
 
 from fractions import Fraction as F
@@ -243,7 +241,7 @@ def test_em_exact_coarse_errors_replay_every_atom_sequence(h):
     """Derive EM_EXACT_COARSE_ERRORS: one path per sequence of atoms, weighted by its probability."""
     setup = harness.make_problem("sinh1d")
     method = registry_get("EulerMaruyama")
-    family = family_for_method(method)
+    family = method.family
     table = enumerate_atoms(family, 1)
     assert family.rv_count(1) == 1 and len(table.probs) == 4
     edges = np.concatenate(([0.0], np.cumsum(family.theta_support[1])))
@@ -413,7 +411,7 @@ def test_criterion_8_property_suites():
         nm = dict(zip(nodes, perm))
         labels = sorted({d for d in dec.values() if d > 0})
         lm = {0: 0, **dict(zip(labels, rng.sample(range(1, 40), len(labels))))}
-        g = canonicalize(
+        g = DecoratedForest.from_graph(
             [nm[v] for v in nodes],
             [(nm[c], nm[p]) for c, p in edges],
             {nm[v]: lm[dec[v]] for v in nodes},

@@ -11,7 +11,17 @@ import pytest
 
 import srkweak
 from srkweak.cli import main
+from srkweak.conditions import REDUCED_TOLERANCE, TABLE_TOLERANCE
 from srkweak.tableau import registry_get, save_method, tableau_to_dict
+
+
+def strict_json(text):
+    """Parse as JSON proper: Python's json would also read NaN and Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def test_check_reduced_ok(capsys):
@@ -31,6 +41,22 @@ def test_check_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["all_satisfied"] is True
     assert len(payload["records"]) == 43
+
+
+@pytest.mark.parametrize(
+    "part,tolerance,n_superfluous",
+    [("--table", TABLE_TOLERANCE, 27), ("--reduced", REDUCED_TOLERANCE, 2)],
+)
+def test_check_json_record_schema(part, tolerance, n_superfluous, capsys):
+    assert main(["check", "BDK1", part, "--json"]) == 0
+    payload = strict_json(capsys.readouterr().out)
+    assert payload["kind"] == part[2:]
+    keys = ["id", "description", "forest", "lhs", "target", "residual", "satisfied", "tolerance", "superfluous"]
+    for rec in payload["records"]:
+        assert list(rec) == keys
+        assert rec["tolerance"] == tolerance
+        assert rec["superfluous"] is (rec["target"] == 0.0)
+    assert sum(rec["superfluous"] for rec in payload["records"]) == n_superfluous
 
 
 def test_check_fails_on_broken_method(tmp_path, capsys):
@@ -72,6 +98,16 @@ def test_converge_writes_csv(tmp_path, capsys):
     assert text.splitlines()[0] == "method,problem,h,estimate,stderr,exact,abs_error,effort"
     assert "BDK2" in text
     assert "observed order" in capsys.readouterr().out
+
+
+def test_converge_json_writes_an_unknown_error_as_null(capsys):
+    # the double well has no closed-form expectation, so no error and no slope
+    argv = ["converge", "doublewell_langevin", "BDK2", "--h", "0.5,0.25", "--batches", "2", "--paths", "3"]
+    assert main(argv + ["--json"]) == 0
+    payload = strict_json(capsys.readouterr().out)
+    assert payload["slope"] is None
+    assert [rec["abs_error"] for rec in payload["records"]] == [None, None]
+    assert all(math.isfinite(rec["estimate"]) for rec in payload["records"])
 
 
 def test_converge_prints_fit_range_and_local_orders(capsys):
@@ -156,6 +192,14 @@ def test_invariant_command(capsys):
     assert abs(payload["second_moment"][0] - 1.0) < 0.15
 
 
+def test_invariant_json_writes_an_undefined_stderr_as_null(capsys):
+    # one step per chain fills one time batch, which has no spread
+    assert main(["invariant", "--h", "0.25", "--steps", "5", "--burn-in", "0", "--chains", "100"]) == 0
+    payload = strict_json(capsys.readouterr().out)
+    assert payload["mean_stderr"] == payload["second_moment_stderr"] == [None]
+    assert math.isfinite(payload["mean"][0]) and math.isfinite(payload["second_moment"][0])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -165,13 +209,22 @@ def test_invariant_command(capsys):
         ["effort", "BDK1", "--m", "0"],
         ["check", "MALFORMED"],
         ["check", "MISSING"],
+        ["check", "NAN_ENTRY"],
+        ["check", "HUGE_ENTRY", "--reduced"],
     ],
-    ids=["method", "problem", "potential", "effort_m0", "malformed_file", "missing_file"],
+    ids=[
+        "method", "problem", "potential", "effort_m0", "malformed_file", "missing_file",
+        "nan_entry", "huge_entry",
+    ],
 )
 def test_input_errors_print_one_line_and_exit_2(argv, tmp_path, capsys):
     malformed = tmp_path / "malformed.json"
     malformed.write_text('{"name": "x",')
     files = {"MALFORMED": str(malformed), "MISSING": str(tmp_path / "missing.json")}
+    bdk1 = json.dumps(tableau_to_dict(registry_get("BDK1")))
+    for name, literal in [("NAN_ENTRY", "NaN"), ("HUGE_ENTRY", "1e400")]:
+        files[name] = str(tmp_path / f"{name.lower()}.json")
+        Path(files[name]).write_text(bdk1.replace('"alpha": [0.5,', f'"alpha": [{literal},'))
     assert main([files.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,12 +14,11 @@ from srkweak.conditions import (
     check_all_table,
     check_reduced,
     condition_table,
-    evaluate_table_condition,
     render_report,
     report_to_json,
 )
 from srkweak.forests import elementary_differential_string, parse_forest
-from srkweak.randvars import ITO, STRATONOVICH
+from srkweak.randvars import ITO
 from srkweak.tableau import EXPLICIT, make_tableau, registry_get, registry_names
 
 S6 = math.sqrt(6.0)
@@ -97,21 +97,22 @@ def test_euler_maruyama_is_weak_order_one_only():
 
 
 def test_calculus_separation():
-    # an Ito method checked against the Stratonovich column must fail; the
-    # liana chain row has target 1/2 there but the Ito family gives 0
-    report = check_all_table(registry_get("BDK1"), calculus=STRATONOVICH)
-    rec = _by_forest(report)["[1[1]]"]
-    assert not rec.satisfied
+    # an Ito method fails the Stratonovich column: the liana chain row has
+    # target 1/2 there but the Ito family gives 0
+    rec = _by_forest(check_all_table(registry_get("BDK1")))["[1[1]]"]
+    row = next(row for row in condition_table() if row.forest.text == "[1[1]]")
     assert rec.lhs == pytest.approx(0.0, abs=1e-13)
-    assert rec.target == pytest.approx(0.5)
+    assert rec.target == row.target_ito == 0
+    assert row.target_strat == Fraction(1, 2)
+    assert abs(rec.lhs - float(row.target_strat)) > TABLE_TOLERANCE
 
 
 def test_noise_label_independence():
     bdk2 = registry_get("BDK2")
     for text in ["[1[2]]·[1]·[2]", "[1[1]]·[2]·[2]", "[1[2[2]]]·[1]"]:
         f = parse_forest(text)
-        a = evaluate_table_condition(bdk2, f, noise_labels=(1, 2))
-        b = evaluate_table_condition(bdk2, f, noise_labels=(2, 1))
+        a = forests.rk_coefficient_map(bdk2, f, noise_labels=(1, 2))
+        b = forests.rk_coefficient_map(bdk2, f, noise_labels=(2, 1))
         assert a == pytest.approx(b, abs=1e-13)
 
 
@@ -142,19 +143,13 @@ def test_report_rendering_and_json():
     assert len(table_payload["records"]) == 43
 
 
-def test_table_row_targets_both_columns_present():
-    for rec, row in zip(check_all_table(registry_get("BDK1")).records, condition_table(), strict=True):
-        assert not math.isnan(rec.target_ito)
-        assert not math.isnan(rec.target_strat)
-        assert (rec.target_ito, rec.target_strat) == (float(row.target_ito), float(row.target_strat))
-        assert rec.description == elementary_differential_string(row.forest)
-
-
-def test_evaluate_rejects_higher_order_forest():
-    import srkweak.forests as fo
-
-    with pytest.raises(fo.CapacityError):
-        evaluate_table_condition(registry_get("BDK1"), parse_forest("[0[0][1][1]]"))
+def test_table_records_take_the_target_of_the_methods_calculus():
+    for t in (registry_get("BDK1"), registry_get("StratoDIRK")):
+        report = check_all_table(t)
+        assert report.calculus == t.calculus
+        for rec, row in zip(report.records, condition_table(), strict=True):
+            assert rec.target == float(row.target_ito if t.calculus == ITO else row.target_strat)
+            assert rec.description == elementary_differential_string(row.forest)
 
 
 # ---------------------------------------------------------------------------
@@ -288,5 +283,5 @@ def test_a_second_table_on_the_same_family_computes_no_weights(monkeypatch):
     assert sum(kernel_rows) == 43
     kernel_rows.clear()
     check_all_table(second)
-    check_all_table(first, calculus=STRATONOVICH)
+    check_all_table(first)
     assert kernel_rows == []

@@ -17,7 +17,6 @@ from srkweak.forests import (
     ForestSum,
     PosetError,
     bck_coproduct,
-    canonicalize,
     concat,
     convolution_exp,
     deshuffle,
@@ -71,22 +70,22 @@ def test_canonical_key_stable_under_relabelling():
 def test_equivalent_forests_with_inequivalent_decorations():
     # chain(a,b) + single(a) + single(b): swapping which single carries which
     # class gives an equivalent forest through a non-equivalent decoration
-    base = canonicalize([0, 1, 2, 3], [(1, 0)], {0: 1, 1: 2, 2: 1, 3: 2})
-    swapped = canonicalize([0, 1, 2, 3], [(1, 0)], {0: 1, 1: 2, 2: 2, 3: 1})
-    renamed = canonicalize([0, 1, 2, 3], [(1, 0)], {0: 7, 1: 3, 2: 7, 3: 3})
+    base = DecoratedForest.from_graph([0, 1, 2, 3], [(1, 0)], {0: 1, 1: 2, 2: 1, 3: 2})
+    swapped = DecoratedForest.from_graph([0, 1, 2, 3], [(1, 0)], {0: 1, 1: 2, 2: 2, 3: 1})
+    renamed = DecoratedForest.from_graph([0, 1, 2, 3], [(1, 0)], {0: 7, 1: 3, 2: 7, 3: 3})
     assert base == swapped == renamed
     # but refining all four nodes into one class gives a different forest
-    coarse = canonicalize([0, 1, 2, 3], [(1, 0)], {0: 1, 1: 1, 2: 1, 3: 1})
+    coarse = DecoratedForest.from_graph([0, 1, 2, 3], [(1, 0)], {0: 1, 1: 1, 2: 1, 3: 1})
     assert coarse != base
 
 
 def test_structural_errors():
     with pytest.raises(ForestError):  # odd decoration class
-        canonicalize([0, 1], [], {0: 1, 1: 0})
+        DecoratedForest.from_graph([0, 1], [], {0: 1, 1: 0})
     with pytest.raises(ForestError):  # cycle
-        canonicalize([0, 1], [(0, 1), (1, 0)], {0: 0, 1: 0})
+        DecoratedForest.from_graph([0, 1], [(0, 1), (1, 0)], {0: 0, 1: 0})
     with pytest.raises(ForestError):  # two parents for one child
-        canonicalize([0, 1, 2], [(0, 1), (0, 2)], {0: 0, 1: 0, 2: 0})
+        DecoratedForest.from_graph([0, 1, 2], [(0, 1), (0, 2)], {0: 0, 1: 0, 2: 0})
 
 
 def test_order_and_exotic_flag():
@@ -129,7 +128,7 @@ def random_forest_graph(draw):
 @given(random_forest_graph())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_text_round_trip_random(graph):
-    f = canonicalize(*graph)
+    f = DecoratedForest.from_graph(*graph)
     assert pf(f.text) == f
 
 
@@ -159,15 +158,12 @@ def test_enumeration_counts_order_three():
 
 
 def test_every_capacity_raise_is_the_randvars_error():
-    from srkweak import conditions, randvars
+    from srkweak import randvars
 
     cases = {
         "enumerate_forests": lambda: enumerate_forests(4),
         "gl_exponential": lambda: gl_exponential(generator_sum(ITO), 4),
         "CoefficientMap": lambda: exact_flow_coefficients(ITO, 1)(pf("[0[0]]")),
-        "evaluate_table_condition": lambda: conditions.evaluate_table_condition(
-            registry_get("BDK1"), pf("[0[0][1][1]]")
-        ),
     }
     for name, case in cases.items():
         with pytest.raises(randvars.CapacityError):
@@ -217,7 +213,7 @@ def test_symmetry_values(text, sigma):
 
 
 def test_symmetry_brute_force_three_blacks():
-    f = canonicalize([0, 1, 2], [], {0: 0, 1: 0, 2: 0})
+    f = DecoratedForest.from_graph([0, 1, 2], [], {0: 0, 1: 0, 2: 0})
     assert symmetry(f) == 6
 
 

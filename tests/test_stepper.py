@@ -23,7 +23,6 @@ from srkweak.stepper import (
     LangevinState,
     NonFiniteStateError,
     SdeProblem,
-    family_for_method,
     integrate_path,
     integrate_paths,
     langevin_chain,
@@ -59,7 +58,7 @@ def test_euler_with_constant_noise_field():
     em = registry_get("EulerMaruyama")
     prob = SdeProblem(1, 1, ITO, [lambda x: np.zeros_like(x), lambda x: np.ones_like(x)])
     theta1 = math.sqrt(2.0 + S3)
-    draw = manual_draw(family_for_method(em), [1.0, theta1], [1.0, 1.0])
+    draw = manual_draw(em.family, [1.0, theta1], [1.0, 1.0])
     Theta = _assemble_reference(draw.family, 1, draw.eta, draw.theta[1:])
     assert Theta.tolist() == [[1.0, theta1], [1.0, -3 * theta1 + theta1**3]]
     out = step(prob, em, np.array([0.0]), 1.0, draw)
@@ -93,7 +92,7 @@ def _kutta_rk3(f, x, h):
 def test_bdk2_zero_noise_exponential_value():
     t = registry_get("BDK2")
     prob = SdeProblem(1, 1, ITO, [lambda x: x, lambda x: np.zeros_like(x)])
-    draw = sample_draw(family_for_method(t), 1, np.random.default_rng(1))
+    draw = sample_draw(t.family, 1, np.random.default_rng(1))
     out = step(prob, t, np.array([1.0]), 0.1, draw)
     expected = 1.0 + 0.1 + 0.1**2 / 2 + 0.1**3 / 6
     assert out[0] == pytest.approx(expected, abs=1e-15)
@@ -106,7 +105,7 @@ def test_zero_noise_reduces_to_kutta_rk3(name):
     prob = SdeProblem(1, 1, ITO, [f_np, lambda x: np.zeros_like(x)])
     rng = np.random.default_rng(2)
     for x0, h in [(0.3, 0.2), (-1.1, 0.05), (2.0, 0.01)]:
-        draw = sample_draw(family_for_method(t), 1, rng)
+        draw = sample_draw(t.family, 1, rng)
         got = step(prob, t, np.array([x0]), h, draw)[0]
         want = _kutta_rk3(lambda z: math.sin(z) + 0.3 * z * z, x0, h)
         assert got == pytest.approx(want, rel=1e-15)
@@ -115,7 +114,7 @@ def test_zero_noise_reduces_to_kutta_rk3(name):
 def test_step_is_deterministic():
     t = registry_get("BDK1")
     prob = sinh_problem()
-    draw = sample_draw(family_for_method(t), 1, np.random.default_rng(3))
+    draw = sample_draw(t.family, 1, np.random.default_rng(3))
     a = step(prob, t, np.array([0.4]), 0.25, draw)
     b = step(prob, t, np.array([0.4]), 0.25, draw)
     assert a[0] == b[0]
@@ -145,7 +144,7 @@ def test_eval_counters_accumulate_over_path():
 def test_step_argument_checks():
     t = registry_get("BDK1")
     prob = sinh_problem()
-    fam = family_for_method(t)
+    fam = t.family
     draw = sample_draw(fam, 1, np.random.default_rng(6))
     with pytest.raises(ValueError):
         step(prob, t, np.array([0.0]), -0.1, draw)
@@ -210,7 +209,7 @@ def test_implicit_stage_solution_matches_direct_linear_solve(name):
     t = registry_get(name)
     a_lin, b_lin = -0.7, 0.4
     x0, h = 0.9, 0.05
-    fam = family_for_method(t)
+    fam = t.family
     draw = sample_draw(fam, 1, np.random.default_rng(10))
     s1, s2 = t.s1, t.s2
     n = s1 + s2
@@ -248,7 +247,7 @@ def test_implicit_divergence_raises(name):
     # must fail the stopping test rather than pass it
     t = registry_get(name)
     prob = SdeProblem(1, 1, t.calculus, [lambda x: 50.0 * x, lambda x: 50.0 * x])
-    draw = sample_draw(family_for_method(t), 1, np.random.default_rng(11))
+    draw = sample_draw(t.family, 1, np.random.default_rng(11))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ImplicitSolveError, match="stage block"):
             step(prob, t, np.array([1.0]), 1.0, draw)
@@ -288,7 +287,7 @@ def test_affine_equivariance(name):
     M = np.array([[1.2, -0.3], [0.4, 0.9]])
     bvec = np.array([0.5, -1.0])
     tprob = _affine_pair(prob, M, bvec)
-    draw = sample_draw(family_for_method(t), 1, np.random.default_rng(12))
+    draw = sample_draw(t.family, 1, np.random.default_rng(12))
     x = np.array([0.2, -0.4])
     straight = M @ step(prob, t, x, 0.1, draw) + bvec
     mapped = step(tprob, t, M @ x + bvec, 0.1, draw)

@@ -106,9 +106,7 @@ def test_arrays_are_read_only():
 
 def test_registered_methods_validate_clean():
     for name in registry_names():
-        report = validate(registry_get(name))
-        assert report.ok, (name, report.findings)
-        assert report.findings == [], (name, report.findings)
+        assert validate(registry_get(name)) == [], name
 
 
 def test_validate_structure_and_shape_errors():
@@ -117,27 +115,49 @@ def test_validate_structure_and_shape_errors():
         "strato-broken", STRATONOVICH, t.alpha, t.beta, t.A0, t.B0, t.A1, t.B1,
         c=0.25, det_order=1, weak_order=1, structure=EXPLICIT,
     )
-    report = validate(missing_bhat)
-    assert not report.ok and any("Bhat1" in m for m in report.errors())
+    assert any("Bhat1" in m for m in validate(missing_bhat))
 
     bad_c = make_tableau(
         "c-broken", ITO, t.alpha, t.beta, t.A0, t.B0, t.A1, t.B1,
         c=0.7, det_order=1, weak_order=1, structure=EXPLICIT,
     )
-    assert not validate(bad_c).ok
+    assert validate(bad_c) == ["c must lie in (0, 1/2], got 0.7"]
 
     cyclic = make_tableau(
         "cyclic", ITO, [1.0], [1.0], A0=[[0.5]], B0=[[0.0]], A1=[[0.0]], B1=[[0.0]],
         c=0.25, det_order=1, weak_order=1, structure=EXPLICIT,
     )
-    report = validate(cyclic)
-    assert not report.ok and any("explicit" in m for m in report.errors())
+    assert any("explicit" in m for m in validate(cyclic))
 
     short_alpha = make_tableau(
         "shape", ITO, [1.0], t.beta, t.A0, t.B0, t.A1, t.B1,
         c=0.5, det_order=1, weak_order=1, structure=EXPLICIT,
     )
-    assert any("alpha" in m for m in validate(short_alpha).errors())
+    assert any("alpha" in m for m in validate(short_alpha))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("block", ["alpha", "beta", "A0", "B0", "A1", "B1", "Bhat1", "c"])
+def test_non_finite_entries_are_rejected(block, value):
+    data = tableau_to_dict(registry_get("StratoDIRK"))  # carries every block
+    if block == "c":
+        data["c"] = value
+    elif block in ("alpha", "beta"):
+        data[block][-1] = value
+    else:
+        data[block][-1][-1] = value
+    with pytest.raises(TableauError, match=f"{block} has non-finite entries"):
+        tableau_from_dict(data)
+
+
+def test_non_finite_json_numbers_in_a_method_file_are_rejected(tmp_path):
+    # Python's json reads NaN, Infinity and numbers beyond the float range
+    text = json.dumps(tableau_to_dict(registry_get("BDK1")))
+    path = tmp_path / "bad.json"
+    for literal in ("NaN", "Infinity", "1e400"):
+        path.write_text(text.replace('"alpha": [0.5,', f'"alpha": [{literal},'))
+        with pytest.raises(TableauError, match="alpha has non-finite entries"):
+            load_method(path)
 
 
 def test_stage_order_interleaves_stochastic_first():
@@ -295,6 +315,7 @@ def test_sqrt_string_entries(tmp_path):
         ("3/5+2/5*sqrt(6)", 0.6 + 0.4 * S6),
         (True, None),
         (False, None),
+        ("1e400", None),
     ],
     ids=repr,
 )
