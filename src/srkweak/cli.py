@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``check METHOD [--reduced|--table] [--json]`` -- verify order conditions;
-  exit code 0 iff all checked conditions hold.
+  exit code 0 iff all checked conditions hold.  ``--json`` prints one array
+  of the reports, reduced before table.
 * ``converge PROBLEM METHOD --h 0.5,0.25,... [--batches N] [--paths N]
   [--seed S] [--out FILE.csv] [--json]`` -- Monte Carlo weak-error sweep.
 * ``effort METHOD --m M`` -- per-step effort N_d + m*N_s + N_r.
@@ -47,15 +48,13 @@ def _cmd_check(args) -> int:
         reports.append(conditions.check_reduced(method))
     if args.table or not args.reduced:
         reports.append(conditions.check_all_table(method))
-    ok = True
-    for report in reports:
-        ok &= report.all_satisfied
-        if args.json:
-            print(conditions.report_to_json(report))
-        else:
+    if args.json:  # one JSON array of the reports, so the output is one document
+        print("[" + ", ".join(conditions.report_to_json(report) for report in reports) + "]")
+    else:
+        for report in reports:
             print(conditions.render_report(report))
             print()
-    return 0 if ok else 1
+    return 0 if all(report.all_satisfied for report in reports) else 1
 
 
 def _cmd_converge(args) -> int:

@@ -401,9 +401,11 @@ def run_invariant_measure(
     """Time-averages of x and x^2 over the postprocessed outputs after burn-in.
 
     ``n_steps`` counts post-burn-in steps in total across ``n_chains``
-    parallel replicas (each replica runs burn_in + n_steps/n_chains steps);
-    the standard errors come from batch means over ``n_time_batches``
-    contiguous time blocks.  Results are a pure function of (seed, params).
+    parallel replicas, each of which runs burn_in + ceil(n_steps / n_chains)
+    steps; the report's ``n_steps`` is the number of chain-steps averaged,
+    n_chains * ceil(n_steps / n_chains).  The standard errors come from batch
+    means over ``n_time_batches`` contiguous time blocks.  Results are a pure
+    function of (seed, params).
     """
     if n_chains < 1:
         raise ValueError("need at least one chain")
@@ -448,7 +450,7 @@ def run_invariant_measure(
     )
     return InvariantMeasureReport(
         h=h,
-        n_steps=n_steps,
+        n_steps=n_chains * steps_per_chain,
         burn_in=burn_in,
         n_chains=n_chains,
         mean=mean,

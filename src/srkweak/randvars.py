@@ -109,7 +109,7 @@ _ITO_DIAG = np.array([-3.0 * s + s**3 for s in _ITO_ASCENDING])
 
 
 class FamilyError(ValueError):
-    """Invalid family parameters (c out of range, variant mismatch)."""
+    """Invalid family parameters (unknown calculus, c out of range)."""
 
 
 class CapacityError(ValueError):
@@ -122,19 +122,21 @@ class RvFamily:
 
     calculus: str
     c: float
-    half_variant: bool
 
     def __post_init__(self):
         if self.calculus not in CALCULI:
             raise FamilyError(f"unknown calculus {self.calculus!r}")
         if not 0.0 < self.c <= 0.5:
             raise FamilyError(f"c must lie in (0, 1/2], got {self.c}")
-        if self.half_variant != (self.c == 0.5):
-            raise FamilyError("half_variant is required exactly when c = 1/2")
 
     @classmethod
     def make(cls, calculus: str, c: float) -> "RvFamily":
-        return cls(calculus, float(c), float(c) == 0.5)
+        return cls(calculus, float(c))
+
+    @property
+    def half_variant(self) -> bool:
+        """The c=1/2 variant, which draws no eta_p and has every Theta[p][0] = 1."""
+        return self.c == 0.5
 
     @property
     def theta_support(self):
@@ -355,7 +357,7 @@ def _outcomes(calculus: str, half_variant: bool, m: int):
 def enumerate_atoms(family: RvFamily, m: int) -> AtomTable:
     """The sampler's outcome set: each distinct draw of :func:`draws_from_uniforms`, with its probability."""
     _check_noise_count(m)
-    key = (family.calculus, family.c, family.half_variant, m)
+    key = (family.calculus, family.c, m)
     cached = _ATOM_CACHE.get(key)
     if cached is not None:
         return cached

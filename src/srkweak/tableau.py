@@ -17,7 +17,9 @@ be shared freely across workers.
 File format: JSON object with keys name, calculus ("ito"|"stratonovich"), c,
 alpha, beta, A0, B0, A1, B1, optional Bhat1 (row-major arrays), det_order,
 weak_order, structure.  Entries may be numbers or strings "a+b*sqrt(k)" with
-rational a, b and integer k (e.g. "3/5-1/10*sqrt(6)").
+rational a, b and integer k (e.g. "3/5-1/10*sqrt(6)").  The built-in
+registry is a tuple of such records with exact entries, read and validated by
+:func:`tableau_from_dict` on first use, as a user's method file is.
 """
 
 from __future__ import annotations
@@ -291,334 +293,6 @@ def validate(t: MethodTableau) -> list:
 
 
 # ---------------------------------------------------------------------------
-# registry
-
-_S3 = math.sqrt(3.0)
-_S6 = math.sqrt(6.0)
-
-
-def _build_registry() -> dict:
-    reg = {}
-
-    def add(t: MethodTableau):
-        reg[t.name] = t
-
-    # Ito explicit, (2,2) stages, mixes the Heun and explicit midpoint updates.
-    add(
-        make_tableau(
-            "BDK1",
-            ITO,
-            alpha=[0.5, 0.5],
-            beta=[0.0, 1.0],
-            A0=[[0.0, 0.0], [1.0, 0.0]],
-            B0=[[0.0, 0.0], [1.0, 0.0]],
-            A1=[[0.0, 0.0], [0.5, 0.0]],
-            B1=[[0.0, 0.0], [0.5, 0.0]],
-            c=0.5,
-            det_order=2,
-            weak_order=2,
-            structure=EXPLICIT,
-        )
-    )
-
-    # Ito explicit, (3,2) stages, deterministic part is Kutta's third-order method.
-    add(
-        make_tableau(
-            "BDK2",
-            ITO,
-            alpha=[1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
-            beta=[0.0, 1.0],
-            A0=[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [-1.0, 2.0, 0.0]],
-            B0=[[0.0, 0.0], [0.6 - _S6 / 10.0, 0.0], [0.6 + 0.4 * _S6, 0.0]],
-            A1=[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]],
-            B1=[[0.0, 0.0], [0.5, 0.0]],
-            c=0.5,
-            det_order=3,
-            weak_order=2,
-            structure=EXPLICIT,
-        )
-    )
-
-    # Ito explicit, (3,2) stages, c = 1/3, same deterministic part as BDK2.
-    add(
-        make_tableau(
-            "BDK3",
-            ITO,
-            alpha=[1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
-            beta=[0.0, 1.0],
-            A0=[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [-1.0, 2.0, 0.0]],
-            B0=[[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
-            A1=[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]],
-            B1=[[0.0, 0.0], [0.5, 0.0]],
-            c=1.0 / 3.0,
-            det_order=3,
-            weak_order=2,
-            structure=EXPLICIT,
-        )
-    )
-
-    # Ito (1,2) with implicit midpoint drift and implicit stochastic stages, c = 1/4.
-    add(
-        make_tableau(
-            "ItoImplicit12",
-            ITO,
-            alpha=[1.0],
-            beta=[0.0, 1.0],
-            A0=[[0.5]],
-            B0=[[0.5, 0.0]],
-            A1=[[0.0], [0.5]],
-            B1=[[1.0, 0.0], [-0.5, 1.0]],
-            c=0.25,
-            det_order=2,
-            weak_order=2,
-            structure=DIAGONALLY_IMPLICIT,
-        )
-    )
-
-    # Stratonovich explicit, (2,4) stages, c = 1/2.
-    add(
-        make_tableau(
-            "StratoExplicit24",
-            STRATONOVICH,
-            alpha=[0.5, 0.5],
-            beta=[0.0, 2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
-            A0=[[0.0, 0.0], [1.0, 0.0]],
-            B0=[[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
-            A1=[[0.0, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]],
-            B1=[
-                [0.0, 0.0, 0.0, 0.0],
-                [0.5, 0.0, 0.0, 0.0],
-                [-1.0, 1.5, 0.0, 0.0],
-                [-1.0, 1.5, 0.0, 0.0],
-            ],
-            Bhat1=[
-                [0.0, 0.0, 0.0, 0.0],
-                [0.5, 0.0, 0.0, 0.0],
-                [-0.5, 0.5, 0.0, 0.0],
-                [-1.5, 1.5, 1.0, 0.0],
-            ],
-            c=0.5,
-            det_order=2,
-            weak_order=2,
-            structure=EXPLICIT,
-        )
-    )
-
-    # Stratonovich (1,2) with implicit midpoint drift; Bhat1 is the two-stage
-    # Gauss-Legendre-type block, c = 1/4.
-    add(
-        make_tableau(
-            "StratoImplicit12",
-            STRATONOVICH,
-            alpha=[1.0],
-            beta=[0.5, 0.5],
-            A0=[[0.5]],
-            B0=[[0.25, 0.25]],
-            A1=[[0.5], [0.5]],
-            B1=[[0.25, 0.25], [0.25, 0.25]],
-            Bhat1=[
-                [0.25, (3.0 + 2.0 * _S3) / 12.0],
-                [(3.0 - 2.0 * _S3) / 12.0, 0.25],
-            ],
-            c=0.25,
-            det_order=2,
-            weak_order=2,
-            structure=DIAGONALLY_IMPLICIT,
-        )
-    )
-
-    # Stratonovich explicit, (3,4) stages, deterministic order 3, c = 1/2.
-    add(
-        make_tableau(
-            "StratoDetOrder3",
-            STRATONOVICH,
-            alpha=[0.25, 0.0, 0.75],
-            beta=[0.0, 2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
-            A0=[[0.0, 0.0, 0.0], [1.0 / 3.0, 0.0, 0.0], [0.0, 2.0 / 3.0, 0.0]],
-            B0=[
-                [0.5 - _S3 / 2.0, 0.0, 0.0, 0.0],
-                [_S3 - 1.0, 0.0, 0.0, 0.0],
-                [1.0 / 6.0 + _S3 / 6.0, 0.0, 0.0, 1.0 / 3.0],
-            ],
-            A1=[
-                [0.0, 0.0, 0.0],
-                [0.5, 0.0, 0.0],
-                [-0.5, 1.0, 0.0],
-                [0.5, 0.0, 0.0],
-            ],
-            B1=[
-                [0.0, 0.0, 0.0, 0.0],
-                [0.5, 0.0, 0.0, 0.0],
-                [-1.0, 1.5, 0.0, 0.0],
-                [-0.5, 1.5, -0.5, 0.0],
-            ],
-            Bhat1=[
-                [0.0, 0.0, 0.0, 0.0],
-                [0.5, 0.0, 0.0, 0.0],
-                [-0.5, 0.5, 0.0, 0.0],
-                [-1.5, 1.5, 1.0, 0.0],
-            ],
-            c=0.5,
-            det_order=3,
-            weak_order=2,
-            structure=EXPLICIT,
-        )
-    )
-
-    # Ito IMEX: diagonally implicit drift, explicit noise, (1,2) stages, c = 1/4.
-    add(
-        make_tableau(
-            "ItoDIRKEX",
-            ITO,
-            alpha=[1.0],
-            beta=[0.0, 1.0],
-            A0=[[0.5]],
-            B0=[[0.5, 0.0]],
-            A1=[[0.0], [0.5]],
-            B1=[[0.0, 0.0], [0.5, 0.0]],
-            c=0.25,
-            det_order=2,
-            weak_order=2,
-            structure=IMEX,
-        )
-    )
-
-    # Ito IMEX: explicit drift, diagonally implicit noise, (2,2) stages, c = 1/2.
-    add(
-        make_tableau(
-            "ItoEXDIRK",
-            ITO,
-            alpha=[0.5, 0.5],
-            beta=[0.0, 1.0],
-            A0=[[0.0, 0.0], [1.0, 0.0]],
-            B0=[[0.0, 0.0], [1.0, 0.0]],
-            A1=[[0.0, 0.0], [0.5, 0.0]],
-            B1=[[1.0, 0.0], [-0.5, 1.0]],
-            c=0.5,
-            det_order=2,
-            weak_order=2,
-            structure=IMEX,
-        )
-    )
-
-    # Stratonovich IMEX: diagonally implicit drift, explicit noise, (1,4), c = 1/4.
-    add(
-        make_tableau(
-            "StratoDIRKEX",
-            STRATONOVICH,
-            alpha=[1.0],
-            beta=[0.0, 2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
-            A0=[[0.5]],
-            B0=[[0.0, 0.5, 0.0, 0.0]],
-            A1=[[0.0], [0.0], [1.5], [1.5]],
-            B1=[
-                [0.0, 0.0, 0.0, 0.0],
-                [0.5, 0.0, 0.0, 0.0],
-                [-1.0, 1.5, 0.0, 0.0],
-                [-0.5, 1.5, -0.5, 0.0],
-            ],
-            Bhat1=[
-                [0.0, 0.0, 0.0, 0.0],
-                [0.5, 0.0, 0.0, 0.0],
-                [-0.5, 0.5, 0.0, 0.0],
-                [-1.5, 1.5, 1.0, 0.0],
-            ],
-            c=0.25,
-            det_order=2,
-            weak_order=2,
-            structure=IMEX,
-        )
-    )
-
-    # Stratonovich IMEX: explicit drift, diagonally implicit noise, (2,3), c = 1/2.
-    add(
-        make_tableau(
-            "StratoEXDIRK",
-            STRATONOVICH,
-            alpha=[0.5, 0.5],
-            beta=[0.0, 0.5, 0.5],
-            A0=[[0.0, 0.0], [1.0, 0.0]],
-            B0=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
-            A1=[[0.0, 0.0], [0.5, 0.0], [0.5, 0.0]],
-            B1=[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]],
-            Bhat1=[
-                [0.5, 0.0, 0.0],
-                [(3.0 - 2.0 * _S3) / 6.0, _S3 / 6.0, 0.0],
-                [(-3.0 + 2.0 * _S3) / 6.0, 0.5, (3.0 - _S3) / 6.0],
-            ],
-            c=0.5,
-            det_order=2,
-            weak_order=2,
-            structure=IMEX,
-        )
-    )
-
-    # Stratonovich diagonally implicit, (1,3) stages, c = 1/4.
-    add(
-        make_tableau(
-            "StratoDIRK",
-            STRATONOVICH,
-            alpha=[1.0],
-            beta=[0.0, 0.5, 0.5],
-            A0=[[0.5]],
-            B0=[[0.5, 0.0, 0.0]],
-            A1=[[0.0], [0.5], [0.5]],
-            B1=[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]],
-            Bhat1=[
-                [0.5, 0.0, 0.0],
-                [(3.0 - 2.0 * _S3) / 6.0, _S3 / 6.0, 0.0],
-                [(-3.0 + 2.0 * _S3) / 6.0, 0.5, (3.0 - _S3) / 6.0],
-            ],
-            c=0.25,
-            det_order=2,
-            weak_order=2,
-            structure=DIAGONALLY_IMPLICIT,
-        )
-    )
-
-    # Weak order 1 baseline with the same discrete increments.
-    add(
-        make_tableau(
-            "EulerMaruyama",
-            ITO,
-            alpha=[1.0],
-            beta=[1.0],
-            A0=[[0.0]],
-            B0=[[0.0]],
-            A1=[[0.0]],
-            B1=[[0.0]],
-            c=0.5,
-            det_order=1,
-            weak_order=1,
-            structure=EXPLICIT,
-        )
-    )
-    return reg
-
-
-_REGISTRY: dict = {}
-
-
-def _registry() -> dict:
-    if not _REGISTRY:
-        _REGISTRY.update(_build_registry())
-    return _REGISTRY
-
-
-def registry_names() -> tuple:
-    return tuple(_registry())
-
-
-def registry_get(name: str) -> MethodTableau:
-    reg = _registry()
-    if name not in reg:
-        raise UnknownMethodError(
-            f"unknown method {name!r}; registered methods: {', '.join(sorted(reg))}"
-        )
-    return reg[name]
-
-
-# ---------------------------------------------------------------------------
 # file I/O
 
 # [a ±] [b *] sqrt(k): ``a`` only when a sign follows it, so a lone
@@ -736,3 +410,108 @@ def save_method(t: MethodTableau, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(tableau_to_dict(t), fh, indent=2)
         fh.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# registry: method-file records, read and validated like a user's file
+
+_METHODS = (
+    # Ito explicit, (2,2) stages, mixes the Heun and explicit midpoint updates.
+    dict(name="BDK1", calculus=ITO, c=0.5, det_order=2, weak_order=2, structure=EXPLICIT,
+         alpha=[0.5, 0.5], beta=[0, 1],
+         A0=[[0, 0], [1, 0]], B0=[[0, 0], [1, 0]],
+         A1=[[0, 0], [0.5, 0]], B1=[[0, 0], [0.5, 0]]),
+    # Ito explicit, (3,2) stages, deterministic part is Kutta's third-order method.
+    dict(name="BDK2", calculus=ITO, c=0.5, det_order=3, weak_order=2, structure=EXPLICIT,
+         alpha=["1/6", "2/3", "1/6"], beta=[0, 1],
+         A0=[[0, 0, 0], [0.5, 0, 0], [-1, 2, 0]],
+         B0=[[0, 0], ["3/5-1/10*sqrt(6)", 0], ["3/5+2/5*sqrt(6)", 0]],
+         A1=[[0, 0, 0], [0.5, 0, 0]], B1=[[0, 0], [0.5, 0]]),
+    # Ito explicit, (3,2) stages, c = 1/3, same deterministic part as BDK2.
+    dict(name="BDK3", calculus=ITO, c="1/3", det_order=3, weak_order=2, structure=EXPLICIT,
+         alpha=["1/6", "2/3", "1/6"], beta=[0, 1],
+         A0=[[0, 0, 0], [0.5, 0, 0], [-1, 2, 0]], B0=[[0, 0], [0.5, 0], [1, 0]],
+         A1=[[0, 0, 0], [0.5, 0, 0]], B1=[[0, 0], [0.5, 0]]),
+    # Ito (1,2) with implicit midpoint drift and implicit stochastic stages, c = 1/4.
+    dict(name="ItoImplicit12", calculus=ITO, c=0.25, det_order=2, weak_order=2,
+         structure=DIAGONALLY_IMPLICIT,
+         alpha=[1], beta=[0, 1], A0=[[0.5]], B0=[[0.5, 0]],
+         A1=[[0], [0.5]], B1=[[1, 0], [-0.5, 1]]),
+    # Stratonovich explicit, (2,4) stages, c = 1/2.
+    dict(name="StratoExplicit24", calculus=STRATONOVICH, c=0.5, det_order=2, weak_order=2,
+         structure=EXPLICIT,
+         alpha=[0.5, 0.5], beta=[0, "2/3", "1/6", "1/6"],
+         A0=[[0, 0], [1, 0]], B0=[[0, 0, 0, 0], [0, 1, 0, 0]],
+         A1=[[0, 0], [0.5, 0], [0.5, 0], [0.5, 0]],
+         B1=[[0, 0, 0, 0], [0.5, 0, 0, 0], [-1, 1.5, 0, 0], [-1, 1.5, 0, 0]],
+         Bhat1=[[0, 0, 0, 0], [0.5, 0, 0, 0], [-0.5, 0.5, 0, 0], [-1.5, 1.5, 1, 0]]),
+    # Stratonovich (1,2) with implicit midpoint drift; Bhat1 is the two-stage
+    # Gauss-Legendre-type block, c = 1/4.
+    dict(name="StratoImplicit12", calculus=STRATONOVICH, c=0.25, det_order=2, weak_order=2,
+         structure=DIAGONALLY_IMPLICIT,
+         alpha=[1], beta=[0.5, 0.5], A0=[[0.5]], B0=[[0.25, 0.25]],
+         A1=[[0.5], [0.5]], B1=[[0.25, 0.25], [0.25, 0.25]],
+         Bhat1=[[0.25, "1/4+1/6*sqrt(3)"], ["1/4-1/6*sqrt(3)", 0.25]]),
+    # Stratonovich explicit, (3,4) stages, deterministic order 3, c = 1/2.
+    dict(name="StratoDetOrder3", calculus=STRATONOVICH, c=0.5, det_order=3, weak_order=2,
+         structure=EXPLICIT,
+         alpha=[0.25, 0, 0.75], beta=[0, "2/3", "1/6", "1/6"],
+         A0=[[0, 0, 0], ["1/3", 0, 0], [0, "2/3", 0]],
+         B0=[["1/2-1/2*sqrt(3)", 0, 0, 0], ["-1+sqrt(3)", 0, 0, 0],
+             ["1/6+1/6*sqrt(3)", 0, 0, "1/3"]],
+         A1=[[0, 0, 0], [0.5, 0, 0], [-0.5, 1, 0], [0.5, 0, 0]],
+         B1=[[0, 0, 0, 0], [0.5, 0, 0, 0], [-1, 1.5, 0, 0], [-0.5, 1.5, -0.5, 0]],
+         Bhat1=[[0, 0, 0, 0], [0.5, 0, 0, 0], [-0.5, 0.5, 0, 0], [-1.5, 1.5, 1, 0]]),
+    # Ito IMEX: diagonally implicit drift, explicit noise, (1,2) stages, c = 1/4.
+    dict(name="ItoDIRKEX", calculus=ITO, c=0.25, det_order=2, weak_order=2, structure=IMEX,
+         alpha=[1], beta=[0, 1], A0=[[0.5]], B0=[[0.5, 0]],
+         A1=[[0], [0.5]], B1=[[0, 0], [0.5, 0]]),
+    # Ito IMEX: explicit drift, diagonally implicit noise, (2,2) stages, c = 1/2.
+    dict(name="ItoEXDIRK", calculus=ITO, c=0.5, det_order=2, weak_order=2, structure=IMEX,
+         alpha=[0.5, 0.5], beta=[0, 1],
+         A0=[[0, 0], [1, 0]], B0=[[0, 0], [1, 0]],
+         A1=[[0, 0], [0.5, 0]], B1=[[1, 0], [-0.5, 1]]),
+    # Stratonovich IMEX: diagonally implicit drift, explicit noise, (1,4), c = 1/4.
+    dict(name="StratoDIRKEX", calculus=STRATONOVICH, c=0.25, det_order=2, weak_order=2,
+         structure=IMEX,
+         alpha=[1], beta=[0, "2/3", "1/6", "1/6"], A0=[[0.5]], B0=[[0, 0.5, 0, 0]],
+         A1=[[0], [0], [1.5], [1.5]],
+         B1=[[0, 0, 0, 0], [0.5, 0, 0, 0], [-1, 1.5, 0, 0], [-0.5, 1.5, -0.5, 0]],
+         Bhat1=[[0, 0, 0, 0], [0.5, 0, 0, 0], [-0.5, 0.5, 0, 0], [-1.5, 1.5, 1, 0]]),
+    # Stratonovich IMEX: explicit drift, diagonally implicit noise, (2,3), c = 1/2.
+    dict(name="StratoEXDIRK", calculus=STRATONOVICH, c=0.5, det_order=2, weak_order=2,
+         structure=IMEX,
+         alpha=[0.5, 0.5], beta=[0, 0.5, 0.5],
+         A0=[[0, 0], [1, 0]], B0=[[0, 0, 0], [1, 0, 0]],
+         A1=[[0, 0], [0.5, 0], [0.5, 0]], B1=[[0, 0, 0], [0.5, 0, 0], [0.5, 0, 0]],
+         Bhat1=[[0.5, 0, 0], ["1/2-1/3*sqrt(3)", "1/6*sqrt(3)", 0],
+                ["-1/2+1/3*sqrt(3)", 0.5, "1/2-1/6*sqrt(3)"]]),
+    # Stratonovich diagonally implicit, (1,3) stages, c = 1/4.
+    dict(name="StratoDIRK", calculus=STRATONOVICH, c=0.25, det_order=2, weak_order=2,
+         structure=DIAGONALLY_IMPLICIT,
+         alpha=[1], beta=[0, 0.5, 0.5], A0=[[0.5]], B0=[[0.5, 0, 0]],
+         A1=[[0], [0.5], [0.5]], B1=[[0, 0, 0], [0.5, 0, 0], [0.5, 0, 0]],
+         Bhat1=[[0.5, 0, 0], ["1/2-1/3*sqrt(3)", "1/6*sqrt(3)", 0],
+                ["-1/2+1/3*sqrt(3)", 0.5, "1/2-1/6*sqrt(3)"]]),
+    # Weak order 1 baseline with the same discrete increments.
+    dict(name="EulerMaruyama", calculus=ITO, c=0.5, det_order=1, weak_order=1, structure=EXPLICIT,
+         alpha=[1], beta=[1], A0=[[0]], B0=[[0]], A1=[[0]], B1=[[0]]),
+)
+
+
+@functools.cache
+def _registry() -> dict:
+    return {r["name"]: tableau_from_dict(r) for r in _METHODS}
+
+
+def registry_names() -> tuple:
+    return tuple(_registry())
+
+
+def registry_get(name: str) -> MethodTableau:
+    reg = _registry()
+    if name not in reg:
+        raise UnknownMethodError(
+            f"unknown method {name!r}; registered methods: {', '.join(sorted(reg))}"
+        )
+    return reg[name]

@@ -38,7 +38,7 @@ def test_check_both_reports(capsys):
 
 def test_check_json(capsys):
     assert main(["check", "BDK3", "--table", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    [payload] = json.loads(capsys.readouterr().out)
     assert payload["all_satisfied"] is True
     assert len(payload["records"]) == 43
 
@@ -49,7 +49,7 @@ def test_check_json(capsys):
 )
 def test_check_json_record_schema(part, tolerance, n_superfluous, capsys):
     assert main(["check", "BDK1", part, "--json"]) == 0
-    payload = strict_json(capsys.readouterr().out)
+    [payload] = strict_json(capsys.readouterr().out)
     assert payload["kind"] == part[2:]
     keys = ["id", "description", "forest", "lhs", "target", "residual", "satisfied", "tolerance", "superfluous"]
     for rec in payload["records"]:
@@ -57,6 +57,13 @@ def test_check_json_record_schema(part, tolerance, n_superfluous, capsys):
         assert rec["tolerance"] == tolerance
         assert rec["superfluous"] is (rec["target"] == 0.0)
     assert sum(rec["superfluous"] for rec in payload["records"]) == n_superfluous
+
+
+def test_check_json_without_a_route_flag_is_one_document(capsys):
+    assert main(["check", "BDK1", "--json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["kind"] for r in reports] == ["reduced", "table"]
+    assert all(r["method"] == "BDK1" and r["all_satisfied"] for r in reports)
 
 
 def test_check_fails_on_broken_method(tmp_path, capsys):
@@ -198,6 +205,12 @@ def test_invariant_json_writes_an_undefined_stderr_as_null(capsys):
     payload = strict_json(capsys.readouterr().out)
     assert payload["mean_stderr"] == payload["second_moment_stderr"] == [None]
     assert math.isfinite(payload["mean"][0]) and math.isfinite(payload["second_moment"][0])
+
+
+def test_invariant_reports_the_chain_steps_it_averaged(capsys):
+    # 5 steps over 100 chains round up to one post-burn-in step per chain
+    assert main(["invariant", "--h", "0.25", "--steps", "5", "--chains", "100"]) == 0
+    assert strict_json(capsys.readouterr().out)["steps"] == 100
 
 
 @pytest.mark.parametrize(

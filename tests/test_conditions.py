@@ -3,11 +3,12 @@
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from srkweak import conditions, forests, randvars
+from srkweak import conditions, forests, randvars, tableau
 from srkweak.conditions import (
     REDUCED_TOLERANCE,
     TABLE_TOLERANCE,
@@ -94,6 +95,80 @@ def test_euler_maruyama_is_weak_order_one_only():
     assert rec.lhs == pytest.approx(0.0, abs=1e-15)
     assert rec.target == pytest.approx(0.5)
     assert not report.all_satisfied
+
+
+class Surd:
+    """a + b*sqrt(k) with rational a, b (k = 0 for a rational): a record's entry, exactly."""
+
+    def __init__(self, a, b=0, k=0):
+        self.a, self.b, self.k = Fraction(a), Fraction(b), k  # Fraction reads a float exactly
+
+    def _join(self, other):
+        o = other if isinstance(other, Surd) else Surd(other)
+        assert not (self.k and o.k and self.k != o.k)  # one surd per method
+        return o, self.k or o.k
+
+    def __add__(self, other):
+        o, k = self._join(other)
+        return Surd(self.a + o.a, self.b + o.b, k)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o, k = self._join(other)
+        return Surd(self.a - o.a, self.b - o.b, k)
+
+    def __mul__(self, other):
+        o, k = self._join(other)
+        return Surd(self.a * o.a + self.b * o.b * k, self.a * o.b + self.b * o.a, k)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        result = Surd(1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def is_zero(self):
+        return self.a == 0 and self.b == 0
+
+
+def _surd(entry):
+    """A record's entry read by the method-file grammar into a :class:`Surd`, not through float."""
+    if not isinstance(entry, str):
+        return Surd(entry)
+    m = tableau._SQRT_TERM.match(entry)
+    if m is None:
+        return Surd(Fraction(entry))
+    b = Fraction(m.group("b") or 1) * (-1 if m.group("sign") == "-" else 1)
+    return Surd(Fraction(m.group("a") or 0), b, int(m.group("k")))
+
+
+def _exact_tableau(record):
+    """The registered tableau with its blocks as object arrays of :class:`Surd`."""
+    t = registry_get(record["name"])
+    exact = np.vectorize(_surd, otypes=[object])
+    blocks = {
+        key: None if record.get(key) is None else exact(np.array(record[key], dtype=object))
+        for key in ("alpha", "beta", "A0", "B0", "A1", "B1", "Bhat1")
+    }
+    return SimpleNamespace(**blocks, s1=t.s1, s2=t.s2, c=t.c)
+
+
+@pytest.mark.parametrize("record", tableau._METHODS, ids=lambda r: r["name"])
+def test_reduced_conditions_hold_exactly_on_the_records(record):
+    t = registry_get(record["name"])
+    system = conditions._ito_reduced if t.calculus == ITO else conditions._strato_reduced
+    failed = [
+        cid
+        for cid, _, lhs, target in system(_exact_tableau(record))
+        if not (lhs - Fraction(target).limit_denominator(1000)).is_zero()
+    ]
+    if t.weak_order == 2:
+        assert failed == []
+    else:
+        assert failed == [f"ito.{i}" for i in range(3, 9)]
 
 
 def test_calculus_separation():

@@ -40,10 +40,6 @@ def test_family_validation():
     with pytest.raises(FamilyError):
         RvFamily.make(ITO, 0.0)
     with pytest.raises(FamilyError):
-        RvFamily(ITO, 0.25, True)  # half variant requires c = 1/2
-    with pytest.raises(FamilyError):
-        RvFamily(ITO, 0.5, False)
-    with pytest.raises(FamilyError):
         RvFamily.make("milstein", 0.5)
     assert fam(ITO, 0.5).half_variant is True
     assert fam(STRATONOVICH, 0.25).half_variant is False

@@ -1,6 +1,7 @@
 """Tests for tableau data model, registry, validation, and file round trips."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -55,6 +56,23 @@ def test_registry_unknown_name():
     with pytest.raises(UnknownMethodError) as err:
         registry_get("BDK9")
     assert "BDK1" in str(err.value)
+
+
+def test_registered_floats_are_pinned():
+    # sha256 over every registered method, in registry order: its name, each
+    # block's little-endian float64 bytes and shape ("-" for no Bhat1), and its
+    # scalar fields; a change to a record or to the entry parser moves it
+    digest = hashlib.sha256()
+    for name in registry_names():
+        t = registry_get(name)
+        digest.update(name.encode())
+        for block in (t.alpha, t.beta, t.A0, t.B0, t.A1, t.B1, t.Bhat1):
+            if block is None:
+                digest.update(b"-")
+            else:
+                digest.update(block.astype("<f8").tobytes() + repr(block.shape).encode())
+        digest.update(repr((t.calculus, t.c, t.det_order, t.weak_order, t.structure)).encode())
+    assert digest.hexdigest() == "182f3f420e57ec270e6c6a4baf8714ba1220fd5fb1038cc90b3d261231be2b7f"
 
 
 def test_bdk1_fields():
