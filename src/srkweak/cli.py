@@ -13,11 +13,19 @@ Subcommands:
   the full order-condition table.
 * ``invariant --potential ou --h H --steps N [--burn-in B] [--seed S]
   [--chains C]`` -- invariant-measure sampling with the postprocessed scheme.
+
+The library returns records (condition reports, convergence tables,
+invariant-measure reports); this module owns every rendering of them as
+text, JSON or CSV.  Every JSON document is strict JSON, written by
+:func:`_dumps`: JSON has no NaN or infinity, so a non-finite number (an
+unknown weak error, the standard error of a single time batch, a condition
+residual that overflows) is written as ``null``.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -26,10 +34,26 @@ import sys
 from . import conditions, forests, harness
 from .randvars import ITO, STRATONOVICH
 from .stepper import StepError
-from .tableau import UnknownMethodError, load_method, registry_get, registry_names
+from .tableau import UnknownMethodError, load_method, registry_get
 
 
 _SIGPIPE_STATUS = 128 + 13
+
+
+def _finite(value):
+    """The value with every non-finite float in it, at any depth, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite(item) for item in value]
+    return value
+
+
+def _dumps(payload) -> str:
+    """The one JSON writer: strict JSON, a non-finite number written as null."""
+    return json.dumps(_finite(payload), indent=2, allow_nan=False)
 
 
 def _get_method(name: str):
@@ -49,12 +73,53 @@ def _cmd_check(args) -> int:
     if args.table or not args.reduced:
         reports.append(conditions.check_all_table(method))
     if args.json:  # one JSON array of the reports, so the output is one document
-        print("[" + ", ".join(conditions.report_to_json(report) for report in reports) + "]")
+        print("[" + ", ".join(_dumps(_report_payload(report)) for report in reports) + "]")
     else:
         for report in reports:
-            print(conditions.render_report(report))
+            print(_report_text(report))
             print()
     return 0 if all(report.all_satisfied for report in reports) else 1
+
+
+def _report_text(report) -> str:
+    lines = [
+        f"{report.kind} conditions for {report.method} ({report.calculus}): "
+        + ("all satisfied" if report.all_satisfied else "VIOLATIONS")
+    ]
+    header = f"{'id':<10} {'lhs':>12} {'target':>12} {'residual':>10}  status"
+    lines.append(header)
+    lines.append("-" * len(header))
+    for rec in report.records:
+        status = "ok" if rec.satisfied else "FAIL"
+        if rec.superfluous:
+            status += " (superfluous-type)"
+        lines.append(
+            f"{rec.id:<10} {rec.lhs:>12.6g} {rec.target:>12.6g} {rec.residual:>10.2e}  {status}"
+        )
+    return "\n".join(lines)
+
+
+def _report_payload(report) -> dict:
+    return {
+        "method": report.method,
+        "calculus": report.calculus,
+        "kind": report.kind,
+        "all_satisfied": report.all_satisfied,
+        "records": [
+            {
+                "id": rec.id,
+                "description": rec.description,
+                "forest": rec.forest,
+                "lhs": float(rec.lhs),
+                "target": float(rec.target),
+                "residual": float(rec.residual),
+                "satisfied": bool(rec.satisfied),
+                "tolerance": float(report.tolerance),
+                "superfluous": bool(rec.superfluous),
+            }
+            for rec in report.records
+        ],
+    }
 
 
 def _cmd_converge(args) -> int:
@@ -64,13 +129,34 @@ def _cmd_converge(args) -> int:
     if len(h_list) < 2:
         raise ValueError("--h needs at least two step sizes for a slope")
     if args.out:
-        open(args.out, "w").close()  # an unwritable path fails before the sweep, not after it
+        # an unwritable path fails before the sweep, not after it; "a" keeps
+        # an existing file intact should the sweep fail
+        open(args.out, "a").close()
     table = harness.run_convergence(setup, method, h_list, args.batches, args.paths, args.seed)
+    effort = harness.effort(method, setup.make().m)
+    exact_fn = setup.observable.exact_expectation
+    exact = None if exact_fn is None else exact_fn(setup.T)
+    rows = [
+        {
+            "method": table.method,
+            "problem": table.problem,
+            "h": rec.h,
+            "estimate": rec.estimate,
+            "stderr": rec.stderr,
+            "exact": exact,
+            "abs_error": rec.abs_error,
+            "effort": effort,
+        }
+        for rec in table.records
+    ]
     if args.out:
-        harness.table_to_csv(table, args.out, setup)
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
         print(f"wrote {args.out}")
     if args.json:
-        print(harness.table_to_json(table, setup))
+        print(_dumps({"method": table.method, "problem": table.problem, "slope": table.slope, "records": rows}))
     else:
         hs = [rec.h for rec in table.records]
         print(
@@ -83,7 +169,7 @@ def _cmd_converge(args) -> int:
             local = "" if previous is None else f" local_order={_local_order(previous, rec):.3f}"
             print(
                 f"  h={rec.h:<8g} estimate={rec.estimate:< 14.8g} stderr={rec.stderr:.3g} "
-                f"abs_error={rec.abs_error:.6g} effort={rec.effort_per_step}{local}"
+                f"abs_error={rec.abs_error:.6g} effort={effort}{local}"
             )
             previous = rec
     return 0
@@ -156,21 +242,15 @@ def _cmd_invariant(args) -> int:
         "h": report.h,
         "steps": report.n_steps,
         "chains": report.n_chains,
-        "mean": _json_list(report.mean),
-        "mean_stderr": _json_list(report.mean_stderr),
-        "second_moment": _json_list(report.second_moment),
-        "second_moment_stderr": _json_list(report.second_moment_stderr),
+        "mean": report.mean.tolist(),
+        "mean_stderr": report.mean_stderr.tolist(),
+        "second_moment": report.second_moment.tolist(),
+        "second_moment_stderr": report.second_moment_stderr.tolist(),
     }
     if report.second_moment_error is not None:
-        payload["second_moment_error"] = _json_list(report.second_moment_error)
-    print(json.dumps(payload, indent=2, allow_nan=False))
+        payload["second_moment_error"] = report.second_moment_error.tolist()
+    print(_dumps(payload))
     return 0
-
-
-def _json_list(values) -> list:
-    """An array as a JSON list; JSON has no NaN or infinity, so a non-finite
-    entry (the standard error of a single time batch) is written as null."""
-    return [v if math.isfinite(v) else None for v in values.tolist()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="verify order conditions of a method")
-    p.add_argument("method", help=f"registered name ({', '.join(registry_names())}) or a .json file")
+    p.add_argument("method", help="registered method name or a .json file")
     p.add_argument("--reduced", action="store_true", help="only the reduced condition system")
     p.add_argument("--table", action="store_true", help="only the full condition table")
     p.add_argument("--json", action="store_true")

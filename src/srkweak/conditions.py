@@ -30,7 +30,6 @@ reporting only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -48,8 +47,6 @@ __all__ = [
     "condition_table",
     "check_all_table",
     "check_reduced",
-    "render_report",
-    "report_to_json",
     "TABLE_TOLERANCE",
     "REDUCED_TOLERANCE",
 ]
@@ -241,50 +238,3 @@ def check_reduced(t: MethodTableau, tolerance: float = REDUCED_TOLERANCE) -> Con
         )
         report.records.append(rec)
     return report
-
-
-# ---------------------------------------------------------------------------
-# rendering
-
-
-def render_report(report: ConditionReport) -> str:
-    lines = [
-        f"{report.kind} conditions for {report.method} ({report.calculus}): "
-        + ("all satisfied" if report.all_satisfied else "VIOLATIONS")
-    ]
-    header = f"{'id':<10} {'lhs':>12} {'target':>12} {'residual':>10}  status"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for rec in report.records:
-        status = "ok" if rec.satisfied else "FAIL"
-        if rec.superfluous:
-            status += " (superfluous-type)"
-        lines.append(
-            f"{rec.id:<10} {rec.lhs:>12.6g} {rec.target:>12.6g} {rec.residual:>10.2e}  {status}"
-        )
-    return "\n".join(lines)
-
-
-def report_to_json(report: ConditionReport) -> str:
-    """The report as strict JSON; a non-finite number raises ValueError."""
-    payload = {
-        "method": report.method,
-        "calculus": report.calculus,
-        "kind": report.kind,
-        "all_satisfied": report.all_satisfied,
-        "records": [
-            {
-                "id": rec.id,
-                "description": rec.description,
-                "forest": rec.forest,
-                "lhs": float(rec.lhs),
-                "target": float(rec.target),
-                "residual": float(rec.residual),
-                "satisfied": bool(rec.satisfied),
-                "tolerance": float(report.tolerance),
-                "superfluous": bool(rec.superfluous),
-            }
-            for rec in report.records
-        ],
-    }
-    return json.dumps(payload, indent=2, allow_nan=False)

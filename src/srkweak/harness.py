@@ -15,8 +15,6 @@ plus the number of scalar random variables the family draws.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -42,8 +40,6 @@ __all__ = [
     "effort",
     "evaluation_counts",
     "run_invariant_measure",
-    "table_to_csv",
-    "table_to_json",
 ]
 
 
@@ -76,7 +72,6 @@ class ConvergenceRecord:
     abs_error: float
     n_batches: int
     n_per_batch: int
-    effort_per_step: int
 
 
 @dataclass
@@ -294,7 +289,6 @@ def estimate_weak_error(
         abs_error=abs_error,
         n_batches=n_batches,
         n_per_batch=n_per_batch,
-        effort_per_step=effort(method, problem.m),
     )
 
 
@@ -383,6 +377,9 @@ def invariant_setup(name: str):
     return F, D, 1, 1, fresh(mean), fresh(second)
 
 
+_TIME_BATCHES = 50
+
+
 def run_invariant_measure(
     F: Callable,
     D: Callable,
@@ -394,7 +391,6 @@ def run_invariant_measure(
     seed: int,
     x0=None,
     n_chains: int = 1,
-    n_time_batches: int = 50,
     exact_mean=None,
     exact_second_moment=None,
 ) -> InvariantMeasureReport:
@@ -404,7 +400,7 @@ def run_invariant_measure(
     parallel replicas, each of which runs burn_in + ceil(n_steps / n_chains)
     steps; the report's ``n_steps`` is the number of chain-steps averaged,
     n_chains * ceil(n_steps / n_chains).  The standard errors come from batch
-    means over ``n_time_batches`` contiguous time blocks.  Results are a pure
+    means over ``_TIME_BATCHES`` contiguous time blocks.  Results are a pure
     function of (seed, params).
     """
     if n_chains < 1:
@@ -423,15 +419,15 @@ def run_invariant_measure(
         x0 = np.zeros(d)
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
 
-    batch_len = max(1, steps_per_chain // n_time_batches)
-    sums = np.zeros((n_time_batches, d))
-    sums2 = np.zeros((n_time_batches, d))
-    counts = np.zeros(n_time_batches)
+    batch_len = max(1, steps_per_chain // _TIME_BATCHES)
+    sums = np.zeros((_TIME_BATCHES, d))
+    sums2 = np.zeros((_TIME_BATCHES, d))
+    counts = np.zeros(_TIME_BATCHES)
 
     def observer(k: int, xbar: np.ndarray):
         if k < burn_in:
             return
-        idx = min((k - burn_in) // batch_len, n_time_batches - 1)
+        idx = min((k - burn_in) // batch_len, _TIME_BATCHES - 1)
         sums[idx] += xbar.sum(axis=0)
         sums2[idx] += (xbar**2).sum(axis=0)
         counts[idx] += xbar.shape[0]
@@ -461,62 +457,4 @@ def run_invariant_measure(
         exact_second_moment=(
             None if exact_second_moment is None else np.asarray(exact_second_moment, dtype=float)
         ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# output
-
-
-def table_to_rows(table: ConvergenceTable, setup: ProblemSetup):
-    exact = None
-    if setup.observable.exact_expectation is not None:
-        exact = setup.observable.exact_expectation(setup.T)
-    rows = []
-    for r in table.records:
-        rows.append(
-            {
-                "method": table.method,
-                "problem": table.problem,
-                "h": r.h,
-                "estimate": r.estimate,
-                "stderr": r.stderr,
-                "exact": exact,
-                "abs_error": r.abs_error,
-                "effort": r.effort_per_step,
-            }
-        )
-    return rows
-
-
-def table_to_csv(table: ConvergenceTable, path, setup: ProblemSetup) -> None:
-    rows = table_to_rows(table, setup)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["method", "problem", "h", "estimate", "stderr", "exact", "abs_error", "effort"],
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def _finite_or_none(value):
-    """JSON has no NaN or infinity: a non-finite number is written as null."""
-    return None if isinstance(value, float) and not math.isfinite(value) else value
-
-
-def table_to_json(table: ConvergenceTable, setup: ProblemSetup) -> str:
-    rows = [
-        {key: _finite_or_none(value) for key, value in row.items()}
-        for row in table_to_rows(table, setup)
-    ]
-    return json.dumps(
-        {
-            "method": table.method,
-            "problem": table.problem,
-            "slope": _finite_or_none(table.slope),
-            "records": rows,
-        },
-        indent=2,
-        allow_nan=False,
     )

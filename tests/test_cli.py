@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import csv
 import json
 import math
 import os
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import srkweak
-from srkweak.cli import main
+from srkweak import harness, tableau
+from srkweak.cli import build_parser, main
 from srkweak.conditions import REDUCED_TOLERANCE, TABLE_TOLERANCE
 from srkweak.tableau import registry_get, save_method, tableau_to_dict
 
@@ -66,6 +68,30 @@ def test_check_json_without_a_route_flag_is_one_document(capsys):
     assert all(r["method"] == "BDK1" and r["all_satisfied"] for r in reports)
 
 
+def test_check_report_text_and_json(capsys):
+    assert main(["check", "BDK1", "--reduced"]) == 0
+    text = capsys.readouterr().out
+    assert "ito.1" in text and "all satisfied" in text
+    assert main(["check", "BDK1", "--json"]) == 0
+    reduced, table = strict_json(capsys.readouterr().out)
+    assert reduced["all_satisfied"] is True
+    assert len(reduced["records"]) == 10
+    assert len(table["records"]) == 43
+
+
+def test_check_json_writes_an_overflowing_residual_as_null(tmp_path, capsys):
+    # finite entries whose products overflow: the condition values are inf or nan
+    data = json.dumps(tableau_to_dict(registry_get("BDK1"))).replace("1.0", "1e200")
+    assert "1e200" in data
+    path = tmp_path / "huge.json"
+    path.write_text(data)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["check", str(path), "--table", "--json"]) == 1
+    [payload] = strict_json(capsys.readouterr().out)
+    assert payload["all_satisfied"] is False
+    assert any(rec["lhs"] is None for rec in payload["records"])
+
+
 def test_check_fails_on_broken_method(tmp_path, capsys):
     data = tableau_to_dict(registry_get("BDK1"))
     data["alpha"] = [0.5, 0.6]
@@ -105,6 +131,23 @@ def test_converge_writes_csv(tmp_path, capsys):
     assert text.splitlines()[0] == "method,problem,h,estimate,stderr,exact,abs_error,effort"
     assert "BDK2" in text
     assert "observed order" in capsys.readouterr().out
+
+
+def test_converge_csv_and_json_output(tmp_path, capsys):
+    path = tmp_path / "conv.csv"
+    argv = ["converge", "det_exponential", "BDK2", "--h", "0.5,0.25", "--batches", "2", "--paths", "1"]
+    assert main(argv + ["--seed", "0", "--out", str(path), "--json"]) == 0
+    wrote, document = capsys.readouterr().out.split("\n", 1)
+    assert wrote == f"wrote {path}"
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["h"] for r in rows] == ["0.5", "0.25"]
+    assert set(rows[0]) == {"method", "problem", "h", "estimate", "stderr", "exact", "abs_error", "effort"}
+    payload = strict_json(document)
+    assert payload["method"] == "BDK2"
+    records = payload["records"]
+    assert len(records) == 2
+    assert payload["slope"] == harness.fit_slope([r["h"] for r in records], [r["abs_error"] for r in records])
 
 
 def test_converge_json_writes_an_unknown_error_as_null(capsys):
@@ -168,6 +211,16 @@ def test_forests_listing_stops_quietly_when_its_reader_closes_the_pipe():
         code = proc.wait(timeout=120)
     assert err == b""
     assert code == 128 + 13  # the status of a process killed by SIGPIPE
+
+
+def test_commands_parse_without_reading_the_method_registry(monkeypatch, capsys):
+    def no_registry():
+        raise AssertionError("read the method registry")
+
+    monkeypatch.setattr(tableau, "_registry", no_registry)
+    build_parser()
+    assert main(["forests", "--max-order", "1"]) == 0
+    assert capsys.readouterr().out.startswith("forest")
 
 
 def test_forests_table(capsys):
@@ -298,6 +351,15 @@ def test_a_failed_step_prints_one_line_and_exits_2(capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("srkweak: error: sinh1d/ItoDIRKEX batch 0 (h=2.0, seed=0): fixed point")
+
+
+def test_converge_out_keeps_an_existing_file_when_the_sweep_fails(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    out.write_text("keep me too\n")
+    argv = ["converge", "sinh1d", "ItoDIRKEX", "--h", "2,1", "--batches", "2", "--paths", "10"]
+    assert main(argv + ["--out", str(out)]) == 2  # the fixed-point solve fails at h = 2
+    assert "fixed point" in capsys.readouterr().err
+    assert out.read_text() == "keep me too\n"
 
 
 @pytest.mark.parametrize("target", ["missing_dir", "directory"])

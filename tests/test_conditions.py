@@ -1,6 +1,5 @@
 """Tests for the reduced condition systems and the full condition table."""
 
-import json
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -15,8 +14,6 @@ from srkweak.conditions import (
     check_all_table,
     check_reduced,
     condition_table,
-    render_report,
-    report_to_json,
 )
 from srkweak.forests import elementary_differential_string, parse_forest
 from srkweak.randvars import ITO
@@ -205,17 +202,6 @@ def test_superfluous_flag_marks_zero_targets():
     report = check_all_table(registry_get("BDK1"))
     for rec in report.records:
         assert rec.superfluous == (rec.target == 0.0)
-
-
-def test_report_rendering_and_json():
-    report = check_reduced(registry_get("BDK1"))
-    text = render_report(report)
-    assert "ito.1" in text and "all satisfied" in text
-    payload = json.loads(report_to_json(report))
-    assert payload["all_satisfied"] is True
-    assert len(payload["records"]) == 10
-    table_payload = json.loads(report_to_json(check_all_table(registry_get("BDK1"))))
-    assert len(table_payload["records"]) == 43
 
 
 def test_table_records_take_the_target_of_the_methods_calculus():

@@ -1,7 +1,5 @@
 """Tests for the benchmark problems, weak-error estimation, and effort metric."""
 
-import csv
-import json
 import math
 
 import numpy as np
@@ -17,8 +15,6 @@ from srkweak.harness import (
     make_problem,
     run_convergence,
     run_invariant_measure,
-    table_to_csv,
-    table_to_json,
 )
 from srkweak.randvars import ITO, STRATONOVICH
 from srkweak.stepper import ImplicitSolveError, NonFiniteStateError, SdeProblem, integrate_paths
@@ -200,28 +196,14 @@ def test_weak_error_on_stratonovich_linear_problem():
         assert abs(rec.estimate - ito_value) > 1.0, name
 
 
-def test_csv_and_json_output(tmp_path):
-    setup = make_problem("det_exponential")
-    table = run_convergence(setup, registry_get("BDK2"), [0.5, 0.25], 2, 1, seed=0)
-    path = tmp_path / "conv.csv"
-    table_to_csv(table, path, setup)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["h"] for r in rows] == ["0.5", "0.25"]
-    assert set(rows[0]) == {
-        "method",
-        "problem",
-        "h",
-        "estimate",
-        "stderr",
-        "exact",
-        "abs_error",
-        "effort",
-    }
-    payload = json.loads(table_to_json(table, setup))
-    assert payload["method"] == "BDK2"
-    assert len(payload["records"]) == 2
-    assert payload["slope"] == pytest.approx(table.slope)
+def test_weak_error_estimate_makes_no_effort_probe(monkeypatch):
+    # the effort is the caller's to compute, once per sweep, not per step size
+    def no_probe(*args, **kwargs):
+        raise AssertionError("estimate_weak_error ran an effort probe")
+
+    monkeypatch.setattr(harness, "effort", no_probe)
+    rec = estimate_weak_error(make_problem("det_exponential"), registry_get("BDK2"), 0.5, 2, 1, seed=0)
+    assert math.isfinite(rec.estimate)
 
 
 def test_invariant_setup_and_zero_field_moments():
