@@ -19,7 +19,8 @@ invariant-measure reports); this module owns every rendering of them as
 text, JSON or CSV.  Every JSON document is strict JSON, written by
 :func:`_dumps`: JSON has no NaN or infinity, so a non-finite number (an
 unknown weak error, the standard error of a single time batch, a condition
-residual that overflows) is written as ``null``.
+residual that overflows) is written as ``null``.  Under the same rule, an
+unknown or non-finite value is an empty field of the ``converge --out`` CSV.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from . import conditions, forests, harness
 from .randvars import ITO, STRATONOVICH
@@ -153,7 +156,7 @@ def _cmd_converge(args) -> int:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
-            writer.writerows(rows)
+            writer.writerows(_finite(row) for row in rows)
         print(f"wrote {args.out}")
     if args.json:
         print(_dumps({"method": table.method, "problem": table.problem, "slope": table.slope, "records": rows}))
@@ -305,10 +308,13 @@ def main(argv=None) -> int:
     missing or malformed method file, an unwritable output path) and a failed
     step print one ``srkweak: error:`` line and return 2, as argparse does for
     a malformed command line.  Output into a pipe that its reader closed ends
-    the command without a traceback."""
+    the command without a traceback.  numpy's floating-point warnings are
+    silenced: the output itself reports a non-finite value (``inf``, ``null``,
+    ``FAIL``, an empty CSV field or the error line)."""
     args = build_parser().parse_args(argv)
     try:
-        status = args.func(args)
+        with np.errstate(all="ignore"):
+            status = args.func(args)
         sys.stdout.flush()
         return status
     except BrokenPipeError:

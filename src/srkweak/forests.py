@@ -397,14 +397,8 @@ class ForestSum:
     def unit(cls) -> "ForestSum":
         return cls({DecoratedForest.empty(): Fraction(1)})
 
-    def coefficient(self, f: DecoratedForest) -> Fraction:
-        return self._terms.get(f, _ZERO)
-
     def terms(self):
         return sorted(self._terms.items(), key=lambda kv: (kv[0].order, kv[0].trees))
-
-    def __len__(self) -> int:
-        return len(self._terms)
 
     def __add__(self, other: "ForestSum") -> "ForestSum":
         out = dict(self._terms)

@@ -49,7 +49,6 @@ class Observable:
 
     phi: Callable
     exact_expectation: Optional[Callable] = None
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -128,28 +127,9 @@ def _ten_noise_exact(t: float) -> float:
     return c4 * math.exp(lam4 * t) + mid * math.exp(lam2 * t) + const
 
 
-def _sinh_problem() -> SdeProblem:
-    f0 = lambda x: 0.5 * x + np.sqrt(x * x + 1.0)
-    f1 = lambda x: np.sqrt(x * x + 1.0)
-    return SdeProblem(1, 1, ITO, [f0, f1], label="sinh1d")
-
-
 def _sinh_phi(x: np.ndarray) -> np.ndarray:
     z = np.arcsinh(x[:, 0])
     return z**3 - 6.0 * z**2 + 8.0 * z
-
-
-def _ten_noise_problem() -> SdeProblem:
-    fields = [lambda x: x]
-    for sig, shift in zip(_TEN_SIGMA, _TEN_SHIFT):
-        fields.append(lambda x, s=sig, a=shift: s * np.sqrt(x * x + a))
-    return SdeProblem(1, 10, ITO, fields, label="tennoise")
-
-
-def _det_exponential_problem() -> SdeProblem:
-    return SdeProblem(
-        1, 1, ITO, [lambda x: x, lambda x: np.zeros_like(x)], label="det_exponential"
-    )
 
 
 # Overdamped Langevin dynamics dX = F(X) dt + sqrt(2) dW with F = -grad V:
@@ -159,80 +139,78 @@ _POTENTIALS = {
     "ou": (lambda x: -x, 0.0, 1.0),
     "doublewell": (lambda x: x - x**3, None, None),  # V(x) = x^4/4 - x^2/2
 }
+_ROOT2 = math.sqrt(2.0)
 
 
-def _langevin_problem(potential: str) -> SdeProblem:
-    root2 = math.sqrt(2.0)
-    drift = _POTENTIALS[potential][0]
-    return SdeProblem(
-        1, 1, ITO, [drift, lambda x: np.full_like(x, root2)], label=f"{potential}_langevin"
+def _problem(name: str, fields: list, phi: Callable, exact, x0: float, T: float) -> ProblemSetup:
+    """A named scalar Ito problem with m = len(fields) - 1 noises, started at x0;
+    ``exact`` is the closed form of E[phi(X(t))], or None where none is known."""
+    m = len(fields) - 1
+    return ProblemSetup(
+        problem_factory=lambda: SdeProblem(1, m, ITO, fields, label=name),
+        observable=Observable(phi, exact),
+        x0=np.array([x0]),
+        T=T,
+        name=name,
     )
 
 
-_PROBLEMS = {}
-
-
-def _register_problems():
-    _PROBLEMS["sinh1d"] = ProblemSetup(
-        problem_factory=_sinh_problem,
-        observable=Observable(
-            phi=_sinh_phi,
-            exact_expectation=lambda t: t**3 - 3.0 * t**2 + 2.0 * t,
-            label="cubic in arcsinh",
+_PROBLEMS = {
+    setup.name: setup
+    for setup in (
+        _problem(
+            "sinh1d",
+            [lambda x: 0.5 * x + np.sqrt(x * x + 1.0), lambda x: np.sqrt(x * x + 1.0)],
+            _sinh_phi,
+            lambda t: t**3 - 3.0 * t**2 + 2.0 * t,
+            0.0,
+            2.0,
         ),
-        x0=np.array([0.0]),
-        T=2.0,
-        name="sinh1d",
-    )
-    _PROBLEMS["tennoise"] = ProblemSetup(
-        problem_factory=_ten_noise_problem,
-        observable=Observable(
-            phi=lambda x: x[:, 0] ** 4,
-            exact_expectation=_ten_noise_exact,
-            label="fourth moment",
+        _problem(
+            "tennoise",
+            [lambda x: x]
+            + [
+                lambda x, s=sig, a=shift: s * np.sqrt(x * x + a)
+                for sig, shift in zip(_TEN_SIGMA, _TEN_SHIFT)
+            ],
+            lambda x: x[:, 0] ** 4,
+            _ten_noise_exact,
+            1.0,
+            1.0,
         ),
-        x0=np.array([1.0]),
-        T=1.0,
-        name="tennoise",
-    )
-    _PROBLEMS["det_exponential"] = ProblemSetup(
-        problem_factory=_det_exponential_problem,
-        observable=Observable(
-            phi=lambda x: x[:, 0], exact_expectation=math.exp, label="identity"
+        _problem(
+            "det_exponential",
+            [lambda x: x, lambda x: np.zeros_like(x)],
+            lambda x: x[:, 0],
+            math.exp,
+            1.0,
+            1.0,
         ),
-        x0=np.array([1.0]),
-        T=1.0,
-        name="det_exponential",
-    )
-    _PROBLEMS["ou_langevin"] = ProblemSetup(
-        problem_factory=lambda: _langevin_problem("ou"),
-        observable=Observable(
-            phi=lambda x: x[:, 0] ** 2,
-            exact_expectation=lambda t: 1.0 - math.exp(-2.0 * t),
-            label="second moment from x0=0",
+        _problem(
+            "ou_langevin",
+            [_POTENTIALS["ou"][0], lambda x: np.full_like(x, _ROOT2)],
+            lambda x: x[:, 0] ** 2,
+            lambda t: 1.0 - math.exp(-2.0 * t),  # the second moment from x0 = 0
+            0.0,
+            1.0,
         ),
-        x0=np.array([0.0]),
-        T=1.0,
-        name="ou_langevin",
+        _problem(
+            "doublewell_langevin",
+            [_POTENTIALS["doublewell"][0], lambda x: np.full_like(x, _ROOT2)],
+            lambda x: x[:, 0] ** 2,
+            None,
+            0.0,
+            1.0,
+        ),
     )
-    _PROBLEMS["doublewell_langevin"] = ProblemSetup(
-        problem_factory=lambda: _langevin_problem("doublewell"),
-        observable=Observable(phi=lambda x: x[:, 0] ** 2, label="second moment"),
-        x0=np.array([0.0]),
-        T=1.0,
-        name="doublewell_langevin",
-    )
+}
 
 
 def problem_names() -> tuple:
-    if not _PROBLEMS:
-        _register_problems()
     return tuple(_PROBLEMS)
 
 
 def make_problem(name: str) -> ProblemSetup:
-    if not _PROBLEMS:
-        _register_problems()
     if name not in _PROBLEMS:
         raise KeyError(f"unknown problem {name!r}; known: {', '.join(sorted(_PROBLEMS))}")
     return _PROBLEMS[name]

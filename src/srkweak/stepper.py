@@ -428,7 +428,10 @@ def langevin_postprocessed_step(
     x_next = x + h * f_cur + math.sqrt(2.0 * h) * np.einsum("ndp,np->nd", cols, theta[:, 1:])
 
     if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(xbar))):
-        raise NonFiniteStateError("non-finite state in postprocessed step", h=h)
+        bad = int(np.flatnonzero(~(np.isfinite(x_next) & np.isfinite(xbar)).all(axis=1))[0])
+        raise NonFiniteStateError(
+            f"non-finite state in postprocessed step (h={h}, first bad chain {bad})", h=h, where=bad
+        )
     if squeeze:
         return LangevinState(x_next[0], xbar[0], f_cur[0])
     return LangevinState(x_next, xbar, f_cur)
@@ -463,7 +466,15 @@ def langevin_chain(
         u = rng.random((n_chains, todo, k))
         for s in range(todo):
             draw = NoiseDraw(family, *randvars.draws_from_uniforms(family, m, u[:, s, :]))
-            state = langevin_postprocessed_step(F, D, state, h, draw)
+            try:
+                state = langevin_postprocessed_step(F, D, state, h, draw)
+            except NonFiniteStateError as exc:
+                raise NonFiniteStateError(
+                    f"non-finite state at step {done + s + 1}/{n_steps} of the postprocessed "
+                    f"chain (h={h}, first bad chain {exc.where})",
+                    h=h,
+                    where=(done + s, exc.where),
+                ) from exc
             if observer is not None:
                 observer(done + s, state.xbar)
         done += todo

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -85,9 +86,12 @@ def test_check_json_writes_an_overflowing_residual_as_null(tmp_path, capsys):
     assert "1e200" in data
     path = tmp_path / "huge.json"
     path.write_text(data)
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow warning is not output
         assert main(["check", str(path), "--table", "--json"]) == 1
-    [payload] = strict_json(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    [payload] = strict_json(captured.out)
     assert payload["all_satisfied"] is False
     assert any(rec["lhs"] is None for rec in payload["records"])
 
@@ -148,6 +152,18 @@ def test_converge_csv_and_json_output(tmp_path, capsys):
     records = payload["records"]
     assert len(records) == 2
     assert payload["slope"] == harness.fit_slope([r["h"] for r in records], [r["abs_error"] for r in records])
+
+
+def test_converge_csv_writes_an_unknown_value_as_an_empty_field(tmp_path, capsys):
+    # the double well has no closed-form expectation, so neither exact nor abs_error is known
+    out = tmp_path / "dw.csv"
+    argv = ["converge", "doublewell_langevin", "BDK2", "--h", "0.5,0.25", "--batches", "2", "--paths", "3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert "nan" not in out.read_text()
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["exact"], r["abs_error"]) for r in rows] == [("", ""), ("", "")]
+    assert all(math.isfinite(float(r["estimate"])) for r in rows)
 
 
 def test_converge_json_writes_an_unknown_error_as_null(capsys):
@@ -310,10 +326,12 @@ def test_input_errors_print_one_line_and_exit_2(argv, tmp_path, capsys):
         ["forests", "--max-order", "0"],
         ["converge", "sinh1d", "BDK2", "--h", "0.5,0.25", "--seed", "-3"],
         ["invariant", "--h", "0.1", "--steps", "10", "--seed", "-1"],
+        ["invariant", "--h", "0.1", "--steps", "10", "--chains", "0"],
     ],
     ids=[
         "paths_0", "steps_0", "negative_burn_in", "h_0", "negative_h",
         "max_order_negative", "max_order_0", "converge_negative_seed", "invariant_negative_seed",
+        "chains_0",
     ],
 )
 def test_impossible_run_sizes_print_one_line_and_exit_2(argv, capsys):
@@ -351,6 +369,20 @@ def test_a_failed_step_prints_one_line_and_exits_2(capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("srkweak: error: sinh1d/ItoDIRKEX batch 0 (h=2.0, seed=0): fixed point")
+
+
+def test_a_failed_langevin_chain_prints_one_line_and_exits_2(capsys):
+    # the double well's cubic drift overflows at h = 3
+    argv = ["invariant", "--potential", "doublewell", "--h", "3", "--steps", "50", "--burn-in", "0", "--chains", "4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("srkweak: error: non-finite state at step ")
+    assert "of the postprocessed chain (h=3.0, first bad chain " in lines[0]
 
 
 def test_converge_out_keeps_an_existing_file_when_the_sweep_fails(tmp_path, capsys):

@@ -105,8 +105,9 @@ def test_text_round_trip():
     assert pf("[0[1][1]]·[0]") == pf("[0].[0[5][5]]")  # '.' accepted, labels free
     with pytest.raises(ForestError):
         pf("[0")
-    with pytest.raises(ForestError):
-        pf("[x]")
+    for bad in ("[x]", "]", "[0]x"):
+        with pytest.raises(ForestError):
+            pf(bad)
 
 
 @st.composite

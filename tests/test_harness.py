@@ -147,6 +147,8 @@ def test_evaluation_counts():
     assert evaluation_counts(registry_get("BDK1"), 3) == (2, 2)
     assert evaluation_counts(registry_get("BDK2"), 3) == (3, 2)
     assert evaluation_counts(registry_get("StratoExplicit24"), 2) == (2, 4)
+    with pytest.raises(ValueError, match="at least one noise"):
+        evaluation_counts(registry_get("BDK1"), 0)
 
 
 def test_weak_error_on_ito_geometric_brownian_motion():

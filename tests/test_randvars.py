@@ -212,6 +212,11 @@ def test_sample_stream_use_is_rv_count():
         rng2.random(f.rv_count(m))
         # both streams must now be at the same position
         assert rng1.random() == rng2.random()
+    f = fam(ITO, 0.25)
+    with pytest.raises(ValueError, match="at least one noise"):
+        sample_draw(f, 0, np.random.default_rng(5))
+    with pytest.raises(ValueError, match=f"expected {f.rv_count(2)} uniforms per draw, got 3"):
+        draws_from_uniforms(f, 2, np.full((4, 3), 0.5))
 
 
 def test_half_variant_entries():

@@ -161,6 +161,8 @@ def test_step_argument_checks():
     sprob = zero_problem(calculus=STRATONOVICH)
     with pytest.raises(ValueError):
         step(sprob, t, np.array([0.0]), 0.1, draw)
+    with pytest.raises(ValueError, match="need m\\+1 = 2 fields, got 3"):
+        SdeProblem(1, 1, ITO, [lambda x: x] * 3)
 
 
 def test_nonfinite_state_raises_with_context():
@@ -350,6 +352,28 @@ def test_langevin_evaluation_counts():
     # each noise column of D is evaluated twice per step
     assert calls["F"] == n_steps + 1
     assert calls["D"] == n_steps * 2
+
+
+def test_a_non_finite_langevin_step_names_its_step_and_first_bad_chain():
+    F, D, d, m, _, _ = invariant_setup("doublewell")
+    fam = RvFamily.make(ITO, 0.5)
+    draw = NoiseDraw(fam, *draws_from_uniforms(fam, m, np.full((3, fam.rv_count(m)), 0.3)))
+    # chains 1 and 2 start where the cubic drift overflows; chain 0 stays finite
+    state = LangevinState(np.array([[0.0], [1e200], [1e200]]), np.zeros((3, d)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteStateError) as err:
+        langevin_postprocessed_step(F, D, state, 0.5, draw)
+    assert (err.value.where, err.value.h) == (1, 0.5)
+    assert "first bad chain 1" in str(err.value)
+    # the chain re-raises it with the step: where = (step, chain), as integrate_paths does
+    rng = np.random.default_rng(np.random.SeedSequence((0,)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteStateError) as err:
+        langevin_chain(F, D, np.zeros(d), m, 3.0, 50, rng, n_chains=4)
+    step_index, chain = err.value.where
+    assert err.value.h == 3.0 and chain == err.value.__cause__.where
+    assert str(err.value) == (
+        f"non-finite state at step {step_index + 1}/50 of the postprocessed chain "
+        f"(h=3.0, first bad chain {chain})"
+    )
 
 
 def test_langevin_chain_is_deterministic():

@@ -153,6 +153,20 @@ def test_validate_structure_and_shape_errors():
     )
     assert any("alpha" in m for m in validate(short_alpha))
 
+    ito_with_bhat = dataclasses.replace(t, Bhat1=t.B1)
+    assert validate(ito_with_bhat) == ["Bhat1 is only meaningful for Stratonovich tableaux"]
+    assert validate(dataclasses.replace(t, structure="bogus")) == ["unknown structure 'bogus'"]
+
+
+@pytest.mark.parametrize("block", ["beta", "A0", "B0", "A1", "B1", "Bhat1"])
+def test_validate_reports_a_misshapen_block(block):
+    t = registry_get("StratoDIRK")  # carries every block
+    value = getattr(t, block)
+    # the stage counts come from the rows of A0 and A1, so only this block is wrong
+    short = dataclasses.replace(t, **{block: value[:-1] if value.ndim == 1 else value[:, :-1]})
+    [message] = validate(short)
+    assert message.startswith(f"{block} has ")
+
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
 @pytest.mark.parametrize("block", ["alpha", "beta", "A0", "B0", "A1", "B1", "Bhat1", "c"])
@@ -307,6 +321,15 @@ def test_load_errors(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(TableauFileError):
         load_method(path)
+
+    path.write_text(json.dumps([tableau_to_dict(registry_get("BDK1"))]))
+    with pytest.raises(TableauFileError, match="must contain a JSON object"):
+        load_method(path)
+
+    data = tableau_to_dict(registry_get("BDK1"))
+    data["calculus"] = "levy"
+    with pytest.raises(TableauFileError, match="calculus must be one of"):
+        tableau_from_dict(data)
 
 
 def test_sqrt_string_entries(tmp_path):
