@@ -20,7 +20,8 @@ text, JSON or CSV.  Every JSON document is strict JSON, written by
 :func:`_dumps`: JSON has no NaN or infinity, so a non-finite number (an
 unknown weak error, the standard error of a single time batch, a condition
 residual that overflows) is written as ``null``.  Under the same rule, an
-unknown or non-finite value is an empty field of the ``converge --out`` CSV.
+unknown or non-finite value is an empty field of the ``converge --out`` CSV,
+and ``-`` in the ``converge`` text output (:func:`_number`).
 """
 
 from __future__ import annotations
@@ -52,6 +53,12 @@ def _finite(value):
     if isinstance(value, list):
         return [_finite(item) for item in value]
     return value
+
+
+def _number(value, spec: str) -> str:
+    """A number as text, ``-`` where JSON has null and the CSV an empty field."""
+    value = _finite(value)
+    return "-" if value is None else format(value, spec)
 
 
 def _dumps(payload) -> str:
@@ -163,16 +170,17 @@ def _cmd_converge(args) -> int:
     else:
         hs = [rec.h for rec in table.records]
         print(
-            f"{table.method} on {table.problem}: observed order {table.slope:.3f} "
+            f"{table.method} on {table.problem}: observed order {_number(table.slope, '.3f')} "
             f"(least squares over h = {max(hs):g} ... {min(hs):g}, {len(hs)} step sizes; "
             f"local_order is the slope from the previous h)"
         )
         previous = None
         for rec in table.records:
-            local = "" if previous is None else f" local_order={_local_order(previous, rec):.3f}"
+            local = "" if previous is None else f" local_order={_number(_local_order(previous, rec), '.3f')}"
             print(
-                f"  h={rec.h:<8g} estimate={rec.estimate:< 14.8g} stderr={rec.stderr:.3g} "
-                f"abs_error={rec.abs_error:.6g} effort={effort}{local}"
+                f"  h={rec.h:<8g} estimate={_number(rec.estimate, ' .8g'):<14} "
+                f"stderr={_number(rec.stderr, '.3g')} abs_error={_number(rec.abs_error, '.6g')} "
+                f"effort={effort}{local}"
             )
             previous = rec
     return 0

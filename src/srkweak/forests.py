@@ -595,8 +595,9 @@ def deshuffle(f: DecoratedForest):
     grouped = Counter(DecoratedForest(_canonical(trees)) for _, trees in blocks)
     items = sorted(grouped.items(), key=lambda kv: kv[0].trees)
 
+    # a forest splits into its liana-connected blocks in one way only, so
+    # distinct takes give distinct pairs
     out = []
-    seen = set()
     for take in itertools.product(*[range(mult + 1) for _, mult in items]):
         left = DecoratedForest.empty()
         right = DecoratedForest.empty()
@@ -605,9 +606,7 @@ def deshuffle(f: DecoratedForest):
                 left = concat(left, blk)
             for _ in range(mult - k):
                 right = concat(right, blk)
-        if (left, right) not in seen:
-            seen.add((left, right))
-            out.append((left, right, 1))
+        out.append((left, right, 1))
     return tuple(out)
 
 

@@ -73,7 +73,13 @@ FIXED_POINT_MAXITER = 200
 
 
 class StepError(RuntimeError):
-    pass
+    """A step failed; carries the step context (step size, method, where)."""
+
+    def __init__(self, message, *, h=None, method=None, where=None):
+        super().__init__(message)
+        self.h = h
+        self.method = method
+        self.where = where
 
 
 class ImplicitSolveError(StepError):
@@ -81,13 +87,7 @@ class ImplicitSolveError(StepError):
 
 
 class NonFiniteStateError(StepError):
-    """A step produced a non-finite state; carries the step context."""
-
-    def __init__(self, message, *, h=None, method=None, where=None):
-        super().__init__(message)
-        self.h = h
-        self.method = method
-        self.where = where
+    """A step produced a non-finite state."""
 
 
 class SdeProblem:
@@ -251,7 +251,7 @@ def _stage_terms(problem, t, xb, h, coefficients):
             block = ", ".join(f"{kind} {i}" for kind, i in nodes)
             raise ImplicitSolveError(
                 f"fixed point for stage block ({block}) of {t.name} did not reach "
-                f"{tol:.3g} within {FIXED_POINT_MAXITER} iterations (h={h})"
+                f"{tol:.3g} within {FIXED_POINT_MAXITER} iterations (h={h})", h=h, method=t.name
             )
     return F0, Fst
 

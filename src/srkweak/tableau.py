@@ -15,10 +15,11 @@ Tableaux are immutable after construction (arrays are read-only), so they can
 be shared freely across workers.
 
 File format: JSON object with keys name, calculus ("ito"|"stratonovich"), c,
-alpha, beta, A0, B0, A1, B1, optional Bhat1 (row-major arrays), det_order,
-weak_order, structure.  Entries may be numbers or strings "a+b*sqrt(k)" with
-rational a, b and integer k (e.g. "3/5-1/10*sqrt(6)").  The built-in
-registry is a tuple of such records with exact entries, read and validated by
+det_order, weak_order, structure and the coefficient blocks, row-major arrays
+whose keys and shapes come from the one block table ``_BLOCKS`` (Bhat1 is
+optional).  Entries may be numbers or strings "a+b*sqrt(k)" with rational a, b
+and integer k (e.g. "3/5-1/10*sqrt(6)").  The built-in registry is a tuple of
+such records with exact entries, read and validated by
 :func:`tableau_from_dict` on first use, as a user's method file is.
 """
 
@@ -75,8 +76,23 @@ class TableauFileError(TableauError):
     pass
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+# The coefficient blocks in signature and file order, each with its shape in
+# stage counts.  Bhat1, last, is the Stratonovich-only block and the one that
+# may be absent (None).
+_BLOCKS = {
+    "alpha": ("s1",),
+    "beta": ("s2",),
+    "A0": ("s1", "s1"),
+    "B0": ("s1", "s2"),
+    "A1": ("s2", "s1"),
+    "B1": ("s2", "s2"),
+    "Bhat1": ("s2", "s2"),
+}
+_REQUIRED_BLOCKS = tuple(_BLOCKS)[:-1]
+
+
+def _readonly(a, ndim: int) -> np.ndarray:
+    a = np.array(a, dtype=float, ndmin=ndim)
     a.setflags(write=False)
     return a
 
@@ -135,16 +151,12 @@ def make_tableau(
     structure: str,
 ) -> MethodTableau:
     """Normalize inputs into an immutable tableau (no validation beyond types)."""
+    blocks = zip(_BLOCKS.items(), (alpha, beta, A0, B0, A1, B1, Bhat1))
+    arrays = {b: None if v is None and b == "Bhat1" else _readonly(v, len(shape)) for (b, shape), v in blocks}
     return MethodTableau(
         name=str(name),
         calculus=calculus,
-        alpha=_readonly(alpha),
-        beta=_readonly(beta),
-        A0=np.atleast_2d(_readonly(A0)),
-        B0=np.atleast_2d(_readonly(B0)),
-        A1=np.atleast_2d(_readonly(A1)),
-        B1=np.atleast_2d(_readonly(B1)),
-        Bhat1=None if Bhat1 is None else np.atleast_2d(_readonly(Bhat1)),
+        **arrays,
         c=float(c),
         det_order=int(det_order),
         weak_order=int(weak_order),
@@ -258,30 +270,25 @@ def validate(t: MethodTableau) -> list:
         err(f"unknown structure {t.structure!r}")
     if not 0.0 < t.c <= 0.5:
         err(f"c must lie in (0, 1/2], got {t.c}")
-    for name in ("alpha", "beta", "A0", "B0", "A1", "B1", "Bhat1", "c"):
-        value = getattr(t, name)
+    non_finite, misshapen = [], []
+    for block, shape in _BLOCKS.items():
+        value, expected = getattr(t, block), tuple(getattr(t, n) for n in shape)
         if value is not None and not np.all(np.isfinite(value)):
-            err(f"{name} has non-finite entries")
-
-    s1, s2 = t.s1, t.s2
-    if t.alpha.shape != (s1,):
-        err(f"alpha has length {t.alpha.shape[0]}, expected s1={s1}")
-    if t.beta.shape != (s2,):
-        err(f"beta has length {t.beta.shape[0]}, expected s2={s2}")
-    if t.A0.shape != (s1, s1):
-        err(f"A0 has shape {t.A0.shape}, expected ({s1}, {s1})")
-    if t.B0.shape != (s1, s2):
-        err(f"B0 has shape {t.B0.shape}, expected ({s1}, {s2})")
-    if t.A1.shape != (s2, s1):
-        err(f"A1 has shape {t.A1.shape}, expected ({s2}, {s1})")
-    if t.B1.shape != (s2, s2):
-        err(f"B1 has shape {t.B1.shape}, expected ({s2}, {s2})")
-    if t.calculus == STRATONOVICH:
-        if t.Bhat1 is None:
-            err("Stratonovich tableau requires the Bhat1 block")
-        elif t.Bhat1.shape != (s2, s2):
-            err(f"Bhat1 has shape {t.Bhat1.shape}, expected ({s2}, {s2})")
-    elif t.Bhat1 is not None:
+            non_finite.append(f"{block} has non-finite entries")
+        # an Ito tableau's Bhat1 is reported below, whatever its shape
+        if value is None or value.shape == expected or (block == "Bhat1" and t.calculus != STRATONOVICH):
+            continue
+        if len(shape) == 1:
+            misshapen.append(f"{block} has length {value.shape[0]}, expected {shape[0]}={expected[0]}")
+        else:
+            misshapen.append(f"{block} has shape {value.shape}, expected {expected}")
+    errors += non_finite
+    if not math.isfinite(t.c):
+        err("c has non-finite entries")
+    errors += misshapen
+    if t.calculus == STRATONOVICH and t.Bhat1 is None:
+        err("Stratonovich tableau requires the Bhat1 block")
+    if t.calculus != STRATONOVICH and t.Bhat1 is not None:
         err("Bhat1 is only meaningful for Stratonovich tableaux")
 
     if errors:
@@ -327,43 +334,33 @@ def _parse_entry(value) -> float:
     return float(a) + float(b) * math.sqrt(k)
 
 
-def _parse_matrix(raw, what: str) -> np.ndarray:
+def _parse_block(raw, block: str) -> np.ndarray:
+    """A block of a method file: a list of entries, or for a matrix a list of rows."""
+    matrix = len(_BLOCKS[block]) == 2
     try:
-        rows = [[_parse_entry(x) for x in row] for row in raw]
+        rows = [[_parse_entry(x) for x in row] if matrix else _parse_entry(row) for row in raw]
         arr = np.array(rows, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise TableauFileError(f"{what} is not a rectangular numeric matrix: {exc}") from exc
-    if arr.ndim != 2:
-        raise TableauFileError(f"{what} must be a matrix (list of equal-length rows)")
-    return arr
-
-
-def _parse_vector(raw, what: str) -> np.ndarray:
-    try:
-        arr = np.array([_parse_entry(x) for x in raw], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise TableauFileError(f"{what} is not a numeric vector: {exc}") from exc
+        kind = "rectangular numeric matrix" if matrix else "numeric vector"
+        raise TableauFileError(f"{block} is not a {kind}: {exc}") from exc
+    if matrix and arr.ndim != 2:
+        raise TableauFileError(f"{block} must be a matrix (list of equal-length rows)")
     return arr
 
 
 def tableau_from_dict(data: dict) -> MethodTableau:
-    required = ["name", "calculus", "c", "alpha", "beta", "A0", "B0", "A1", "B1"]
-    missing = [k for k in required if k not in data]
+    missing = [k for k in ("name", "calculus", "c", *_REQUIRED_BLOCKS) if k not in data]
     if missing:
         raise TableauFileError(f"missing keys: {', '.join(missing)}")
     calculus = data["calculus"]
     if calculus not in CALCULI:
         raise TableauFileError(f"calculus must be one of {CALCULI}, got {calculus!r}")
+    # a null Bhat1 reads as an absent one; any other null block is malformed
+    blocks = {b: _parse_block(data[b], b) for b in _BLOCKS if b != "Bhat1" or data.get(b) is not None}
     t = make_tableau(
         data["name"],
         calculus,
-        alpha=_parse_vector(data["alpha"], "alpha"),
-        beta=_parse_vector(data["beta"], "beta"),
-        A0=_parse_matrix(data["A0"], "A0"),
-        B0=_parse_matrix(data["B0"], "B0"),
-        A1=_parse_matrix(data["A1"], "A1"),
-        B1=_parse_matrix(data["B1"], "B1"),
-        Bhat1=None if data.get("Bhat1") is None else _parse_matrix(data["Bhat1"], "Bhat1"),
+        **blocks,
         c=_parse_entry(data["c"]),
         det_order=int(data.get("det_order", 1)),
         weak_order=int(data.get("weak_order", 1)),
@@ -380,12 +377,7 @@ def tableau_to_dict(t: MethodTableau) -> dict:
         "name": t.name,
         "calculus": t.calculus,
         "c": t.c,
-        "alpha": t.alpha.tolist(),
-        "beta": t.beta.tolist(),
-        "A0": t.A0.tolist(),
-        "B0": t.B0.tolist(),
-        "A1": t.A1.tolist(),
-        "B1": t.B1.tolist(),
+        **{block: getattr(t, block).tolist() for block in _REQUIRED_BLOCKS},
         "det_order": t.det_order,
         "weak_order": t.weak_order,
         "structure": t.structure,

@@ -176,6 +176,18 @@ def test_converge_json_writes_an_unknown_error_as_null(capsys):
     assert all(math.isfinite(rec["estimate"]) for rec in payload["records"])
 
 
+def test_converge_text_prints_an_unknown_number_as_a_dash(capsys):
+    # the double well has no closed-form expectation: no error, slope or local order
+    argv = ["converge", "doublewell_langevin", "BDK2", "--h", "0.5,0.25", "--batches", "2", "--paths", "3"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out.lower()
+    lines = out.splitlines()
+    assert "observed order - (least squares" in lines[0]
+    assert "abs_error=- " in lines[1] and "abs_error=- " in lines[2]
+    assert lines[2].endswith(" local_order=-")
+
+
 def test_converge_prints_fit_range_and_local_orders(capsys):
     args = ["converge", "det_exponential", "BDK2", "--h", "0.5,0.25,0.125", "--batches", "2", "--paths", "1"]
     assert main(args + ["--json"]) == 0

@@ -104,8 +104,9 @@ def _linear_setup(drift, name):
 def test_weak_error_keeps_the_class_and_context_of_a_step_failure():
     # stiff drift: ItoDIRKEX's implicit drift stage does not converge at h = 1/4
     stiff = _linear_setup(lambda x: -20.0 * x, "stiff")
-    with pytest.raises(ImplicitSolveError, match=r"^stiff/ItoDIRKEX batch 0 \(h=0.25, seed=1\): fixed point"):
+    with pytest.raises(ImplicitSolveError, match=r"^stiff/ItoDIRKEX batch 0 \(h=0.25, seed=1\): fixed point") as info:
         estimate_weak_error(stiff, registry_get("ItoDIRKEX"), 0.25, 2, 10, seed=1)
+    assert (info.value.h, info.value.method) == (0.25, "ItoDIRKEX")
     # cubic drift: BDK1 overflows at the fourth step of h = 1/2
     cubic = _linear_setup(lambda x: x * x * x, "cubic")
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteStateError) as info:

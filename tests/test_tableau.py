@@ -158,7 +158,7 @@ def test_validate_structure_and_shape_errors():
     assert validate(dataclasses.replace(t, structure="bogus")) == ["unknown structure 'bogus'"]
 
 
-@pytest.mark.parametrize("block", ["beta", "A0", "B0", "A1", "B1", "Bhat1"])
+@pytest.mark.parametrize("block", ["alpha", "beta", "A0", "B0", "A1", "B1", "Bhat1"])
 def test_validate_reports_a_misshapen_block(block):
     t = registry_get("StratoDIRK")  # carries every block
     value = getattr(t, block)
@@ -330,6 +330,23 @@ def test_load_errors(tmp_path):
     data["calculus"] = "levy"
     with pytest.raises(TableauFileError, match="calculus must be one of"):
         tableau_from_dict(data)
+
+    strato = tableau_to_dict(registry_get("StratoDIRK"))  # carries every block
+    with pytest.raises(TableauFileError, match="^missing keys: name, B1$"):
+        tableau_from_dict({k: v for k, v in strato.items() if k not in ("name", "B1")})
+    for change, message in [
+        ({"c": [0.5]}, r"^tableau entry must be number or string, got \[0.5\]$"),
+        ({"alpha": [[1]]}, "^alpha is not a numeric vector: tableau entry must be number or string"),
+        ({"beta": None}, "^beta is not a numeric vector: 'NoneType' object is not iterable$"),
+        ({"A0": [[0.5], [0.5, 0]]}, "^A0 is not a rectangular numeric matrix: "),
+        ({"A0": None}, "^A0 is not a rectangular numeric matrix: 'NoneType' object is not iterable$"),
+        ({"A0": []}, r"^A0 must be a matrix \(list of equal-length rows\)$"),
+    ]:
+        with pytest.raises(TableauFileError, match=message):
+            tableau_from_dict({**strato, **change})
+    # only Bhat1 may be null: it then reads as absent
+    with pytest.raises(TableauError, match="^invalid tableau: Stratonovich tableau requires the Bhat1 block$"):
+        tableau_from_dict({**strato, "Bhat1": None})
 
 
 def test_sqrt_string_entries(tmp_path):
