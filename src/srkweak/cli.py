@@ -199,12 +199,8 @@ def _local_order(coarse, fine) -> float:
 
 def _cmd_effort(args) -> int:
     method = _get_method(args.method)
-    n_d, n_s = harness.evaluation_counts(method, args.m)
-    n_r = method.family.rv_count(args.m)
-    print(
-        f"{method.name} (m={args.m}): N_d={n_d} N_s={n_s} N_r={n_r} "
-        f"effort={n_d + args.m * n_s + n_r}"
-    )
+    n_d, n_s, n_r, total = harness.effort_counts(method, args.m)
+    print(f"{method.name} (m={args.m}): N_d={n_d} N_s={n_s} N_r={n_r} effort={total}")
     return 0
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "run_convergence",
     "fit_slope",
     "effort",
+    "effort_counts",
     "evaluation_counts",
     "run_invariant_measure",
 ]
@@ -310,11 +311,17 @@ def evaluation_counts(method: MethodTableau, m: int) -> tuple:
     return n_d, int(per_noise[0])
 
 
-def effort(method: MethodTableau, m: int) -> int:
-    """Computational effort per step, N_d + m*N_s + N_r."""
+def effort_counts(method: MethodTableau, m: int) -> tuple:
+    """(N_d, N_s, N_r, effort) of one step: the evaluation counts, the random
+    variables drawn, and the effort N_d + m*N_s + N_r."""
     n_d, n_s = evaluation_counts(method, m)
     n_r = method.family.rv_count(m)
-    return n_d + m * n_s + n_r
+    return n_d, n_s, n_r, n_d + m * n_s + n_r
+
+
+def effort(method: MethodTableau, m: int) -> int:
+    """Computational effort per step, N_d + m*N_s + N_r."""
+    return effort_counts(method, m)[3]
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,22 @@ and the update
 
     x' = x + h sum_i alpha_i f^0(H_i^0) + sqrt(h) sum_{i,p} beta_i theta_p f^p(H_i^p).
 
-Stages are evaluated block by block in the dependency order induced by the
-nonzero coefficient entries (:func:`tableau.stage_blocks`; drift and
-stochastic stages may interleave).  A block that does not read itself is
-evaluated once; a cyclic block is solved by fixed-point iteration on its own
-stages, with tolerance ``1e-13 * (1 + |x|)`` in the max norm over the block
-and the batch, and an iteration cap of 200.  Each diffusion value
-f^q(H_j^q) is computed once per (j, q) and reused everywhere it appears,
-which is what makes the optimal per-step evaluation counts attainable.
+Each tableau is compiled once, on first use, into a stage program (cached
+for as long as the tableau lives): the stage blocks in the dependency order
+induced by the nonzero coefficient entries (:func:`tableau.stage_blocks`;
+drift and stochastic stages may interleave), each stage's nonzero entries as
+Python floats in column order, which mixes of each stochastic stage some
+stage reads, and the nonzero alpha and beta.  A step runs that program and
+never rereads the tableau.  A block that does not read itself is evaluated
+once; a cyclic block is solved by fixed-point iteration on its own stages,
+with tolerance ``1e-13 * (1 + |x|)`` in the max norm over the block and the
+batch, and an iteration cap of 200.  A sweep re-forms only the terms that
+read the block: x plus the terms before the first in-block one, and the
+products of the later out-of-block terms, are formed once per step, and the
+sums still associate as x + term_1 + term_2 + ... in column order.  Each
+diffusion value f^q(H_j^q) is computed once per (j, q) and reused everywhere
+it appears, which is what makes the optimal per-step evaluation counts
+attainable.
 
 A step's noise is carried by its generators (theta, eta) and never as the
 dense (m+1) x (m+1) Theta: the stages read five per-noise coefficient arrays
@@ -45,13 +53,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import randvars
 from .randvars import ITO, STRATONOVICH, NoiseDraw, RvFamily
-from .tableau import MethodTableau, mixes_read, stage_blocks
+from .tableau import MethodTableau, _per_tableau, stage_blocks
 
 __all__ = [
     "SdeProblem",
@@ -121,8 +129,82 @@ class SdeProblem:
         return self.eval_counts[1:].copy()
 
 
-def _nonzero_cols(row: np.ndarray):
-    return [j for j in range(row.shape[0]) if row[j] != 0.0]
+class _Stage(NamedTuple):
+    """One stage of a compiled tableau: its input is x plus its terms in order.
+
+    A term is ``(block, entries)``: the coefficient block it comes from
+    ("A0", "B0", "A1", "B1" or "Bhat1") and the nonzero ``(j, entry)`` pairs
+    of the stage's row there, as Python floats in column order.  Each entry
+    is one term, except that a row's A1 entries form a single term, since
+    Theta[p][0] multiplies their sum.  ``prefix`` holds the terms before the
+    first one that reads a stage of the stage's own cyclic block (all of
+    them outside a cyclic block); ``rest`` holds the others as
+    ``(term, in_block)`` pairs.
+    """
+
+    kind: str
+    i: int
+    prefix: tuple
+    rest: tuple
+
+
+class _StageProgram(NamedTuple):
+    """A tableau compiled for stepping: the blocks of :func:`tableau.stage_blocks`
+    as ``(stages, cyclic)``, which mixes of each stochastic stage some stage
+    reads (``reads_U``, ``reads_V``), and the nonzero ``(i, alpha_i)`` and
+    ``(j, beta_j)`` of the update."""
+
+    name: str
+    strato: bool
+    s1: int
+    s2: int
+    blocks: tuple
+    reads_U: tuple
+    reads_V: tuple
+    alpha: tuple
+    beta: tuple
+
+
+def _nonzero(row) -> tuple:
+    return tuple((j, v) for j, v in enumerate(row.tolist()) if v != 0.0)
+
+
+@_per_tableau
+def _stage_program(t: MethodTableau) -> _StageProgram:
+    """Compile ``t`` once (cached for as long as ``t`` lives)."""
+    strato = t.calculus == STRATONOVICH
+
+    def terms(kind, i):
+        """The terms of stage (kind, i) in the order its input adds them."""
+        if kind == "drift":
+            return tuple((b, (e,)) for b in ("A0", "B0") for e in _nonzero(getattr(t, b)[i]))
+        a1 = _nonzero(t.A1[i])
+        blocks = ("B1", "Bhat1") if strato else ("B1",)
+        return ((("A1", a1),) if a1 else ()) + tuple(
+            (b, (e,)) for b in blocks for e in _nonzero(getattr(t, b)[i])
+        )
+
+    blocks = []
+    for nodes, cyclic in stage_blocks(t):
+        stages = []
+        for kind, i in nodes:
+            ts = terms(kind, i)
+            inside = [
+                cyclic and any(("drift" if b in ("A0", "A1") else "stoch", j) in nodes for j, _ in e)
+                for b, e in ts
+            ]
+            k = inside.index(True) if True in inside else len(ts)
+            stages.append(_Stage(kind, i, ts[:k], tuple(zip(ts[k:], inside[k:]))))
+        blocks.append((tuple(stages), cyclic))
+
+    # U_j enters drift stages only, through column j of B0, and V_j
+    # stochastic stages only, through column j of B1; the update and Bhat1
+    # read f^q(H_j^q) itself
+    reads_U, reads_V = (tuple(np.any(b != 0.0, axis=0).tolist()) for b in (t.B0, t.B1))
+    return _StageProgram(
+        t.name, strato, t.s1, t.s2, tuple(blocks), reads_U, reads_V,
+        _nonzero(t.alpha), _nonzero(t.beta),
+    )
 
 
 def _weighted_sum(w, F):
@@ -168,106 +250,142 @@ def _mix(coefficients, F, strato, want_U, want_V):
     return U, V
 
 
-def _stage_terms(problem, t, xb, h, coefficients):
-    """Evaluate all stage field values; returns (F0 list, Fst list).
+class _StageValues:
+    """The field values at the stages of one step, filled block by block.
 
-    ``coefficients`` are the five noise-major (m, n) coefficient rows of
-    :func:`randvars.mixing_coefficients`.  F0[i] is f^0 at drift stage i,
-    shape (n, d); Fst[j] holds f^q at stochastic stage j in row q - 1,
-    shape (m, n, d).  The stage blocks of :func:`tableau.stage_blocks` are
-    taken in order: a block that does not read itself is evaluated once, a
-    cyclic one is solved by fixed-point iteration on its own stages.  A
-    stochastic stage's mixes U and V are formed only where a stage reads
-    them (:func:`tableau.mixes_read`).
+    F0[i] is f^0 at drift stage i, shape (n, d); Fst[j] holds f^q at
+    stochastic stage j in row q - 1, shape (m, n, d); U[j] and V[j] are its
+    mixes, formed only where some stage reads them.  ``coefficients`` are the
+    five noise-major (m, n) coefficient rows of
+    :func:`randvars.mixing_coefficients`.
     """
-    m = problem.m
-    sqh = math.sqrt(h)
-    strato = t.calculus == STRATONOVICH
-    _, Thp0, Th_diag, _, _ = coefficients
-    reads_U, reads_V = mixes_read(t)
 
-    F0 = [None] * t.s1
-    Fst = [None] * t.s2
-    U = [None] * t.s2                  # sum_q Theta[0][q] f^q(H_j^q), (n, d)
-    V = [None] * t.s2                  # (m, n, d): row p is sum over q entering H_i^p
+    __slots__ = ("problem", "program", "xb", "h", "sqh", "coefficients", "F0", "Fst", "U", "V")
 
-    def stage_input(kind, i):
-        """H_i^0 for a drift stage (n, d), the rows H_i^p for a stochastic one."""
-        if kind == "drift":
-            acc = xb.copy()
-            for j in _nonzero_cols(t.A0[i]):
-                acc += (h * t.A0[i, j]) * F0[j]
-            for j in _nonzero_cols(t.B0[i]):
-                acc += (sqh * t.B0[i, j]) * U[j]
-            return acc
-        acc = np.empty((m,) + xb.shape)
-        acc[...] = xb
-        term = np.empty_like(acc)  # scratch for one term at a time
-        cols = _nonzero_cols(t.A1[i])
-        if cols:
-            da = sum(t.A1[i, j] * F0[j] for j in cols)
+    def __init__(self, problem, program, xb, h, coefficients):
+        self.problem, self.program, self.xb, self.h = problem, program, xb, h
+        self.sqh = math.sqrt(h)
+        self.coefficients = coefficients
+        self.F0 = [None] * program.s1
+        self.Fst = [None] * program.s2
+        self.U = [None] * program.s2   # sum_q Theta[0][q] f^q(H_j^q), (n, d)
+        self.V = [None] * program.s2   # (m, n, d): row p is sum over q entering H_i^p
+
+    def term(self, block, entries, out):
+        """The product of one stage-input term, written into ``out``."""
+        if block == "A1":
+            da = sum(a * self.F0[j] for j, a in entries)
+            Thp0 = self.coefficients[1]
             if Thp0 is None:  # Theta[p][0] = 1 in the c = 1/2 variant
-                acc += h * da
-            else:
-                acc += np.multiply(h * Thp0[:, :, None], da, out=term)
-        for j in _nonzero_cols(t.B1[i]):
-            acc += np.multiply(sqh * t.B1[i, j], V[j], out=term)
-        if strato:
-            for j in _nonzero_cols(t.Bhat1[i]):
-                np.multiply(Th_diag[:, :, None], Fst[j], out=term)
-                acc += np.multiply(sqh * t.Bhat1[i, j], term, out=term)
+                return np.multiply(self.h, da, out=out)
+            return np.multiply(self.h * Thp0[:, :, None], da, out=out)
+        ((j, a),) = entries
+        if block == "A0":
+            return np.multiply(self.h * a, self.F0[j], out=out)
+        if block == "B0":
+            return np.multiply(self.sqh * a, self.U[j], out=out)
+        if block == "B1":
+            return np.multiply(self.sqh * a, self.V[j], out=out)
+        # Bhat1, on the diagonal q = p
+        np.multiply(self.coefficients[2][:, :, None], self.Fst[j], out=out)
+        return np.multiply(self.sqh * a, out, out=out)
+
+    def fresh_x(self, stage):
+        """A copy of x: (n, d) for a drift stage, (m, n, d) for a stochastic one."""
+        xb = self.xb
+        H = np.empty(xb.shape if stage.kind == "drift" else (self.problem.m,) + xb.shape)
+        H[...] = xb
+        return H
+
+    def prefix_sum(self, stage):
+        """x plus the stage's prefix terms, in order, as a fresh array."""
+        acc = self.fresh_x(stage)
+        if stage.prefix:
+            scratch = np.empty_like(acc)
+            for block, entries in stage.prefix:
+                acc += self.term(block, entries, scratch)
         return acc
 
-    def evaluate(kind, i, H):
-        """f^0 at a drift stage; f^p at row p - 1 of a stochastic one, then mixed."""
-        if kind == "drift":
-            F0[i] = problem.eval_field(0, H)
+    def evaluate(self, stage, H):
+        """f^0 at a drift stage; f^p at row p - 1 of a stochastic one, then mixed.
+        A sweep's previous values are dropped before the fields allocate."""
+        i = stage.i
+        if stage.kind == "drift":
+            self.F0[i] = None
+            self.F0[i] = self.problem.eval_field(0, H)
             return
-        Fst[i] = np.empty_like(H)
-        for p in range(m):
-            Fst[i][p] = problem.eval_field(p + 1, H[p])
-        if reads_U[i] or reads_V[i]:
-            U[i], V[i] = _mix(coefficients, Fst[i], strato, reads_U[i], reads_V[i])
-
-    for nodes, cyclic in stage_blocks(t):
-        if not cyclic:
-            for kind, i in nodes:
-                evaluate(kind, i, stage_input(kind, i))
-            continue
-        # fixed point on the block's stage inputs, started from x
-        H = [xb.copy() if kind == "drift" else np.broadcast_to(xb, (m,) + xb.shape).copy()
-             for kind, _ in nodes]
-        tol = FIXED_POINT_TOL * (1.0 + float(np.max(np.abs(xb))))
-        for _ in range(FIXED_POINT_MAXITER):
-            for (kind, i), Hk in zip(nodes, H):
-                evaluate(kind, i, Hk)
-            H_new = [stage_input(kind, i) for kind, i in nodes]
-            # np.max, unlike Python's max, keeps a NaN change from passing
-            delta = np.max([np.max(np.abs(a - b)) for a, b in zip(H_new, H)])
-            H = H_new
-            if delta <= tol:
-                break
-        else:
-            block = ", ".join(f"{kind} {i}" for kind, i in nodes)
-            raise ImplicitSolveError(
-                f"fixed point for stage block ({block}) of {t.name} did not reach "
-                f"{tol:.3g} within {FIXED_POINT_MAXITER} iterations (h={h})", h=h, method=t.name
+        problem, program = self.problem, self.program
+        self.Fst[i] = self.U[i] = self.V[i] = None
+        F = self.Fst[i] = np.empty_like(H)
+        for p in range(problem.m):
+            F[p] = problem.eval_field(p + 1, H[p])
+        if program.reads_U[i] or program.reads_V[i]:
+            self.U[i], self.V[i] = _mix(
+                self.coefficients, F, program.strato, program.reads_U[i], program.reads_V[i]
             )
-    return F0, Fst
+
+    def solve(self, stages):
+        """Fixed-point iteration on a cyclic block's stage inputs, started from x.
+
+        Each stage's prefix sum and the products of its later out-of-block
+        terms are formed once.  A sweep writes the first in-block term into
+        the next iterate, adds the prefix sum (addition commutes, so this is
+        x + ... + term bit for bit), then adds the later terms in order.  The
+        two iterates per stage and one scratch per stage shape, which holds
+        the other in-block terms and the stopping test, are allocated once.
+        """
+        H = [self.fresh_x(s) for s in stages]
+        H_new = [np.empty_like(Hk) for Hk in H]
+        scratch = {s.kind: np.empty_like(Hk) for s, Hk in zip(stages, H)}
+        prefix = [self.prefix_sum(s) if s.prefix else self.xb for s in stages]
+        later = [
+            [t if inside else self.term(*t, np.empty_like(Hk)) for t, inside in s.rest[1:]]
+            for s, Hk in zip(stages, H)
+        ]
+        first = [(s.rest[0][0], scratch[s.kind]) for s in stages]
+        tol = FIXED_POINT_TOL * (1.0 + float(np.max(np.abs(self.xb))))
+        for _ in range(FIXED_POINT_MAXITER):
+            for s, Hk in zip(stages, H):
+                self.evaluate(s, Hk)
+            converged = True
+            for ((block, entries), scr), Hk, acc, base, rest in zip(first, H, H_new, prefix, later):
+                self.term(block, entries, acc)
+                acc += base
+                for t in rest:
+                    acc += t if isinstance(t, np.ndarray) else self.term(*t, scr)
+                if converged:  # max |change| <= tol; max propagates a NaN, which fails
+                    np.subtract(acc, Hk, out=scr)
+                    converged = scr.max() <= tol and scr.min() >= -tol
+            H, H_new = H_new, H
+            if converged:
+                return
+        nodes = ", ".join(f"{s.kind} {s.i}" for s in stages)
+        name, h = self.program.name, self.h
+        raise ImplicitSolveError(
+            f"fixed point for stage block ({nodes}) of {name} did not reach "
+            f"{tol:.3g} within {FIXED_POINT_MAXITER} iterations (h={h})", h=h, method=name
+        )
 
 
 def _apply_step(problem, t, xb, h, th, coefficients):
     """One step of the batch ``xb`` (n, d); ``th`` holds theta_1..theta_m as
     noise-major rows (m, n)."""
-    F0, Fst = _stage_terms(problem, t, xb, h, coefficients)
+    program = _stage_program(t)
+    values = _StageValues(problem, program, xb, h, coefficients)
+    for stages, cyclic in program.blocks:  # in dependency order
+        if cyclic:
+            values.solve(stages)
+        else:
+            (stage,) = stages
+            values.evaluate(stage, values.prefix_sum(stage))
+    F0, Fst = values.F0, values.Fst
+    del values  # frees the mixes, which the update does not read
     out = xb.copy()
-    for i in range(t.s1):
-        if t.alpha[i] != 0.0:
-            out += (h * t.alpha[i]) * F0[i]
+    for i, a in program.alpha:
+        out += (h * a) * F0[i]
     sqh = math.sqrt(h)
-    for j in range(t.s2):
-        if t.beta[j] != 0.0:
-            out += (sqh * t.beta[j]) * _weighted_sum(th, Fst[j])
+    for j, b in program.beta:
+        out += (sqh * b) * _weighted_sum(th, Fst[j])
     return out
 
 
@@ -346,6 +464,12 @@ def integrate_paths(
     to within 1e-12 relative: each cyclic stage block's fixed-point sweeps and
     its stopping test are shared across the batch, so a path may take more
     sweeps than alone.
+
+    Every step runs the tableau's stage program, compiled once.  A sweep of
+    a cyclic block re-forms only the terms that read the block, in the
+    iterates, term scratch and stopping-test scratch the block allocates
+    once per step; the sums associate as in the stage equations, so the
+    paths and the sweep counts do not depend on that reuse.
     """
     _check_step_args(problem, t, h, None)
     family = t.family

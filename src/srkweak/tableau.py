@@ -47,7 +47,6 @@ __all__ = [
     "validate",
     "stage_blocks",
     "stage_evaluation_order",
-    "mixes_read",
     "registry_names",
     "registry_get",
     "load_method",
@@ -200,9 +199,9 @@ def stage_blocks(t: MethodTableau) -> tuple:
 
     Nodes are ("drift", i) and ("stoch", j); a drift stage depends on the
     stages its nonzero A0/B0 row entries reference, a stochastic stage on its
-    A1/B1 (and Bhat1) entries.  A block is a strongly connected set of nodes,
-    listed in sorted order; ``cyclic`` says whether it reads itself, i.e.
-    needs an implicit solve.  Each block comes after every block it reads;
+    A1/B1 (and a Stratonovich method's Bhat1) entries.  A block is a
+    strongly connected set of nodes, listed in sorted order; ``cyclic`` says
+    whether it reads itself, i.e. needs an implicit solve.  Each block comes after every block it reads;
     among the ready blocks the one with the smallest first node goes first.
     """
     size = {"drift": t.s1, "stoch": t.s2}
@@ -216,7 +215,7 @@ def stage_blocks(t: MethodTableau) -> tuple:
         deps[("drift", i)] = refs(t.A0, i, "drift") | refs(t.B0, i, "stoch")
     for i in range(t.s2):
         deps[("stoch", i)] = refs(t.A1, i, "drift") | refs(t.B1, i, "stoch")
-        if t.Bhat1 is not None:
+        if t.calculus == STRATONOVICH and t.Bhat1 is not None:
             deps[("stoch", i)] |= refs(t.Bhat1, i, "stoch")
     reach = {n: set(d) for n, d in deps.items()}  # transitive closure (Warshall)
     for k in deps:
@@ -231,22 +230,6 @@ def stage_blocks(t: MethodTableau) -> tuple:
         placed.update(nodes)
         pending.remove(nodes)
     return tuple(blocks)
-
-
-@_per_tableau
-def mixes_read(t: MethodTableau) -> tuple:
-    """Which mixes of each stochastic stage j some stage reads: ``(U, V)``,
-    one flag per stage each.
-
-    The mix ``U_j = sum_q Theta[0][q] f^q(H_j^q)`` enters drift stages only,
-    through column j of B0, and the rows ``V_j`` enter stochastic stages
-    only, through column j of B1; a mix whose column is zero is never read.
-    The update reads f^q(H_j^q) itself, as does Bhat1.
-    """
-    def read(block):
-        return tuple(bool(np.any(block[:, j : j + 1] != 0.0)) for j in range(t.s2))
-
-    return read(t.B0), read(t.B1)
 
 
 def stage_evaluation_order(t: MethodTableau):
@@ -318,20 +301,21 @@ def _parse_entry(value) -> float:
         raise TableauFileError(f"tableau entry must be number or string, got {value!r}")
     text = value.strip()
     try:
-        return float(Fraction(text))
-    except ValueError:
-        pass
+        try:
+            return float(Fraction(text))
+        except ValueError:
+            match = _SQRT_TERM.match(text)
+        if not match:
+            raise TableauFileError(f"cannot parse tableau entry {value!r}")
+        a = Fraction(match.group("a")) if match.group("a") else Fraction(0)
+        b = Fraction(match.group("b")) if match.group("b") else Fraction(1)
+        if match.group("sign") == "-":
+            b = -b
+        return float(a) + float(b) * math.sqrt(int(match.group("k")))
+    except ZeroDivisionError:
+        raise TableauFileError(f"tableau entry {value!r} divides by zero") from None
     except OverflowError:
         raise TableauFileError(f"tableau entry {value!r} is too large for a float") from None
-    match = _SQRT_TERM.match(text)
-    if not match:
-        raise TableauFileError(f"cannot parse tableau entry {value!r}")
-    a = Fraction(match.group("a")) if match.group("a") else Fraction(0)
-    b = Fraction(match.group("b")) if match.group("b") else Fraction(1)
-    if match.group("sign") == "-":
-        b = -b
-    k = int(match.group("k"))
-    return float(a) + float(b) * math.sqrt(k)
 
 
 def _parse_block(raw, block: str) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from srkweak import harness
 from srkweak.harness import (
     effort,
+    effort_counts,
     estimate_weak_error,
     evaluation_counts,
     fit_slope,
@@ -148,6 +149,7 @@ def test_evaluation_counts():
     assert evaluation_counts(registry_get("BDK1"), 3) == (2, 2)
     assert evaluation_counts(registry_get("BDK2"), 3) == (3, 2)
     assert evaluation_counts(registry_get("StratoExplicit24"), 2) == (2, 4)
+    assert effort_counts(registry_get("BDK3"), 4) == (3, 2, 9, 20)
     with pytest.raises(ValueError, match="at least one noise"):
         evaluation_counts(registry_get("BDK1"), 0)
 

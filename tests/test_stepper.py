@@ -29,7 +29,7 @@ from srkweak.stepper import (
     langevin_postprocessed_step,
     step,
 )
-from srkweak.tableau import registry_get, registry_names, stage_evaluation_order
+from srkweak.tableau import make_tableau, registry_get, registry_names, stage_evaluation_order
 from test_randvars import _assemble_reference
 
 S3 = math.sqrt(3.0)
@@ -264,6 +264,22 @@ def test_block_solve_evaluates_explicit_stages_once():
     integrate_paths(prob, t, setup.x0, 2.0**-4, 16, 5, np.random.default_rng(3))
     assert prob.diffusion_evals.tolist() == [t.s2 * 16]
     assert prob.drift_evals > 16  # the drift block takes several sweeps
+
+
+def test_an_ito_tableau_steps_without_its_bhat1():
+    # Bhat1 means nothing to an Ito method, so a block it would close is not
+    # iterated: the path and the evaluation counts are those without it
+    t = registry_get("BDK1")
+    fields = [lambda x: -x, lambda x: 0.3 * x]
+    blocks = [getattr(t, b) for b in ("alpha", "beta", "A0", "B0", "A1", "B1")]
+    with_bhat1 = make_tableau("BDK1+Bhat1", ITO, *blocks, np.eye(2), c=0.5, det_order=2,
+                              weak_order=2, structure=t.structure)
+    runs = []
+    for method in (t, with_bhat1):
+        prob = SdeProblem(1, 1, ITO, fields)
+        x = integrate_paths(prob, method, np.array([1.0]), 0.1, 3, 2, np.random.default_rng(0))
+        runs.append((x.tolist(), prob.eval_counts.tolist()))
+    assert runs[0] == runs[1]
 
 
 def _affine_pair(problem, M, bvec):
@@ -528,6 +544,170 @@ def test_sinh1d_paths_are_pinned(name):
         setup.make(), registry_get(name), setup.x0, 2.0**-4, 8, 3, np.random.default_rng(2024)
     )
     assert [v.hex() for v in x[:, 0].tolist()] == PINNED_SINH1D[name]
+
+
+def _identity_drift_problem(calculus, m):
+    # the drift returns its argument, so a stage value aliases the iterate it
+    # was evaluated at, and a sweep that overwrote that iterate would show
+    fields = [lambda x: x] + [
+        (lambda k: lambda x: (0.2 + 0.1 * k) * np.sin(x) + 0.1)(k) for k in range(m)
+    ]
+    return SdeProblem(1, m, calculus, fields)
+
+
+PIN_PROBLEMS = {  # name -> (problem factory, x0)
+    "sinh1d": (lambda: make_problem("sinh1d").make(), 0.0),
+    "ito_m3": (lambda: _identity_drift_problem(ITO, 3), 0.5),
+    "strato_m1": (lambda: _identity_drift_problem(STRATONOVICH, 1), 0.5),
+    "strato_m3": (lambda: _identity_drift_problem(STRATONOVICH, 3), 0.5),
+}
+
+# every registered method on two problems of its calculus: integrate_paths,
+# h = 1/8, 6 steps, 4 paths, seed 77; the final states and the eval_counts,
+# which pin the implicit sweep counts
+PINNED_ALL_METHODS = {
+    ("ito_m3", "BDK1"): (
+        ["0x1.6ac9664e31e0cp-1", "0x1.18ddb7a116cd7p+1",
+         "0x1.7bacd6facc591p-3", "0x1.5e7080f16d8e1p+0"],
+        [12, 12, 12, 12],
+    ),
+    ("ito_m3", "BDK2"): (
+        ["0x1.6b57059280eacp-1", "0x1.199c09dbf48fap+1",
+         "0x1.7b066e0097c7cp-3", "0x1.5f3885358f49ep+0"],
+        [18, 12, 12, 12],
+    ),
+    ("ito_m3", "BDK3"): (
+        ["0x1.17edae6c8a2dfp-1", "0x1.7b15e231f07f0p-2",
+         "0x1.eb08837f321fbp-2", "0x1.b3e9590af8a8cp-3"],
+        [18, 12, 12, 12],
+    ),
+    ("ito_m3", "EulerMaruyama"): (
+        ["0x1.4cdafb2390adep-1", "0x1.df04305975531p+0",
+         "0x1.bb1fd35157e72p-3", "0x1.4eb839ed06113p+0"],
+        [6, 6, 6, 6],
+    ),
+    ("ito_m3", "ItoDIRKEX"): (
+        ["0x1.366b0dd9b6f96p-1", "0x1.80e5ee916c57ap-2",
+         "0x1.eb53c4d99ba70p-2", "0x1.598d6885ba62fp-3"],
+        [67, 12, 12, 12],
+    ),
+    ("ito_m3", "ItoEXDIRK"): (
+        ["0x1.6fec2ad9cbb1ap-1", "0x1.1b69343b8d2cbp+1",
+         "0x1.7e2f58da3dadfp-3", "0x1.5cc7afcde1879p+0"],
+        [12, 206, 206, 206],
+    ),
+    ("ito_m3", "ItoImplicit12"): (
+        ["0x1.4cf7e69ffa45dp-1", "0x1.81d2e0d5db14fp-2",
+         "0x1.f40be50a35f98p-2", "0x1.8ffd1ac4f99aap-3"],
+        [68, 228, 228, 228],
+    ),
+    ("sinh1d", "BDK1"): (
+        ["0x1.17eb192717cc2p+1", "0x1.958d69a67ef80p+0",
+         "-0x1.284d8b529edbcp+0", "-0x1.b1b590fcb2914p-3"],
+        [12, 12],
+    ),
+    ("sinh1d", "BDK2"): (
+        ["0x1.18a294b8b4a6bp+1", "0x1.9626b79db235ep+0",
+         "-0x1.2837210101994p+0", "-0x1.b038c3e56a1e4p-3"],
+        [18, 12],
+    ),
+    ("sinh1d", "BDK3"): (
+        ["0x1.b1a748af896b5p-1", "-0x1.56d07fdf91d60p-4",
+         "0x1.42e0693f66893p+1", "-0x1.20c7e77bd92c5p+0"],
+        [18, 12],
+    ),
+    ("sinh1d", "EulerMaruyama"): (
+        ["0x1.0cacd7d0e07f8p+1", "0x1.afe5e6f7df94ep+0",
+         "-0x1.21d36c5dee784p+0", "-0x1.010b006d5e420p-2"],
+        [6, 6],
+    ),
+    ("sinh1d", "ItoDIRKEX"): (
+        ["0x1.aee585ceec2d2p-1", "-0x1.6204657c0e240p-4",
+         "0x1.4fa7a5ade951cp+1", "-0x1.2584baacc5e7fp+0"],
+        [72, 12],
+    ),
+    ("sinh1d", "ItoEXDIRK"): (
+        ["0x1.15a77ab9bd4cap+1", "0x1.9884ca20d3a66p+0",
+         "-0x1.2078af0dd8505p+0", "-0x1.ca3473a2caf38p-3"],
+        [12, 361],
+    ),
+    ("sinh1d", "ItoImplicit12"): (
+        ["0x1.b3a82692d4b86p-1", "-0x1.b3968c58c1a72p-4",
+         "0x1.546566991bae5p+1", "-0x1.190932971e690p+0"],
+        [74, 359],
+    ),
+    ("strato_m1", "StratoDIRK"): (
+        ["0x1.493dff5435e20p-1", "0x1.560463163b04ap+0",
+         "0x1.802f911212c4ap+0", "0x1.6e44b971c81ccp+0"],
+        [66, 163],
+    ),
+    ("strato_m1", "StratoDIRKEX"): (
+        ["0x1.4a18e0d3b4f90p-1", "0x1.55fafe2bed5fep+0",
+         "0x1.800e41feeac6ap+0", "0x1.6d41ae5475782p+0"],
+        [66, 24],
+    ),
+    ("strato_m1", "StratoDetOrder3"): (
+        ["0x1.61eb811f03946p-1", "0x1.4cc44ae7f25e7p+0",
+         "0x1.8268ed7afeceep+0", "0x1.7dc8bd4c0d638p+0"],
+        [18, 24],
+    ),
+    ("strato_m1", "StratoEXDIRK"): (
+        ["0x1.625f88ca8e183p-1", "0x1.4bd7cb41c3a0fp+0",
+         "0x1.81247e34ea111p+0", "0x1.7c8f5a19b973bp+0"],
+        [12, 136],
+    ),
+    ("strato_m1", "StratoExplicit24"): (
+        ["0x1.62162ba0f76c3p-1", "0x1.4bebdceafd7a9p+0",
+         "0x1.814376ecd11f0p+0", "0x1.7cadea91b9a0fp+0"],
+        [12, 24],
+    ),
+    ("strato_m1", "StratoImplicit12"): (
+        ["0x1.48c25f0839134p-1", "0x1.55fed21038e28p+0",
+         "0x1.7ff63cf719a1cp+0", "0x1.6e4bbdaea4263p+0"],
+        [75, 150],
+    ),
+    ("strato_m3", "StratoDIRK"): (
+        ["0x1.9607cd72f10cbp+0", "0x1.1ac497e5965e4p+0",
+         "0x1.854f8905e6fd3p-1", "0x1.7a4063ea6a584p+1"],
+        [68, 197, 197, 197],
+    ),
+    ("strato_m3", "StratoDIRKEX"): (
+        ["0x1.95d86e6238c30p+0", "0x1.19fd649f50934p+0",
+         "0x1.831c9a4613ff3p-1", "0x1.74eb48a8b3bd3p+1"],
+        [68, 24, 24, 24],
+    ),
+    ("strato_m3", "StratoDetOrder3"): (
+        ["0x1.f88ec82918b37p+0", "0x1.08c0b0f3a0071p+1",
+         "0x1.194c8564dfa7fp+0", "0x1.8d8fee4bf41d1p-1"],
+        [18, 24, 24, 24],
+    ),
+    ("strato_m3", "StratoEXDIRK"): (
+        ["0x1.f6dba498d28aep+0", "0x1.07a486a7efbf4p+1",
+         "0x1.19660e03732dbp+0", "0x1.8c37118321ee8p-1"],
+        [12, 196, 196, 196],
+    ),
+    ("strato_m3", "StratoExplicit24"): (
+        ["0x1.f72709c42dcd6p+0", "0x1.0827f9224eb56p+1",
+         "0x1.189fb6d600072p+0", "0x1.8e52e55ccff54p-1"],
+        [12, 24, 24, 24],
+    ),
+    ("strato_m3", "StratoImplicit12"): (
+        ["0x1.9497072a0142fp+0", "0x1.1b1ce079d8a2ap+0",
+         "0x1.84a4e84fbafd7p-1", "0x1.7b0366728a7b4p+1"],
+        [94, 188, 188, 188],
+    ),
+}
+
+
+@pytest.mark.parametrize("problem,name", sorted(PINNED_ALL_METHODS))
+def test_every_method_is_pinned(problem, name):
+    factory, x0 = PIN_PROBLEMS[problem]
+    prob = factory()
+    t = registry_get(name)
+    x = integrate_paths(prob, t, np.array([x0]), 0.125, 6, 4, np.random.default_rng(77))
+    values, counts = PINNED_ALL_METHODS[problem, name]
+    assert [v.hex() for v in x[:, 0].tolist()] == values
+    assert prob.eval_counts.tolist() == counts
 
 
 def test_langevin_chain_is_pinned():

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -344,6 +345,20 @@ def test_load_errors(tmp_path):
     ]:
         with pytest.raises(TableauFileError, match=message):
             tableau_from_dict({**strato, **change})
+    # an entry that divides by zero or whose parts overflow a float, as c and
+    # inside a block
+    big = "1" + "0" * 400
+    for entry, message in [
+        ("1/0", "divides by zero"),
+        ("1/0+sqrt(2)", "divides by zero"),
+        (f"sqrt({big})", "is too large for a float"),
+        (f"{big}+sqrt(2)", "is too large for a float"),
+        (f"{big}*sqrt(2)", "is too large for a float"),
+    ]:
+        with pytest.raises(TableauFileError, match=f"^tableau entry '{re.escape(entry)}' {message}$"):
+            tableau_from_dict({**strato, "c": entry})
+        with pytest.raises(TableauFileError, match=f"^A0 is not a rectangular numeric matrix: .*{message}$"):
+            tableau_from_dict({**strato, "A0": [[entry]]})
     # only Bhat1 may be null: it then reads as absent
     with pytest.raises(TableauError, match="^invalid tableau: Stratonovich tableau requires the Bhat1 block$"):
         tableau_from_dict({**strato, "Bhat1": None})
