@@ -16,9 +16,11 @@ tableau on a forest.
 
 Every operation computes on the canonical encoding of a forest, a sorted
 tuple of ``(decoration, (child, ...))`` trees, and canonicalises its result
-there.  A node/edge graph is read only where a forest enters from outside
-(:meth:`DecoratedForest.from_graph`, :func:`parse_forest`), and built only
-by :meth:`DecoratedForest.graph`.
+there.  A node/edge graph is read only by :meth:`DecoratedForest.from_graph`
+and built only by :meth:`DecoratedForest.graph`; :func:`parse_forest` reads
+the bracket text straight into encoded trees, and
+:func:`elementary_differential_string` renders each node by its position in
+them, never by object identity.
 
 All coefficients in this layer are exact rationals; only
 :func:`rk_coefficient_map` returns floats (method tableaux carry irrational
@@ -108,6 +110,22 @@ def _preorder(trees):
         stack.extend(reversed(kids))
 
 
+def _preorder_children(tree) -> list:
+    """Each node of an encoded tree in preorder, as its decoration and the
+    preorder numbers of its children (the root is 0)."""
+    nodes: list = []
+
+    def visit(t):
+        kids: list = []
+        nodes.append((t[0], kids))
+        for c in t[1]:
+            kids.append(len(nodes))
+            visit(c)
+
+    visit(tree)
+    return nodes
+
+
 def _redecorated(trees, decorations) -> tuple:
     """Encoded trees with their preorder decorations drawn from the iterator ``decorations``."""
     return tuple((next(decorations), _redecorated(kids, decorations)) for _, kids in trees)
@@ -118,6 +136,13 @@ def _canonical(trees) -> tuple:
     decoration classes onto 1, 2, ..., every level sorted."""
     labels = sorted({d for d in _preorder(trees) if d})
     return min(_relabelled(trees, relabel) for relabel in _label_permutations(labels))
+
+
+def _check_classes(decorations) -> None:
+    """Raise ForestError unless every nonzero decoration class has even size."""
+    for label, size in Counter(d for d in decorations if d).items():
+        if size % 2:
+            raise ForestError(f"decoration class {label} has odd size {size}")
 
 
 def _canonical_trees(nodes, edges, decoration):
@@ -133,15 +158,16 @@ def _canonical_trees(nodes, edges, decoration):
         if child in parent:
             raise ForestError(f"node {child!r} has more than one outgoing edge")
         parent[child] = par
-    # acyclicity: walking to the root must terminate
-    for v in nodes:
-        seen = {v}
-        w = v
-        while w in parent:
-            w = parent[w]
-            if w in seen:
-                raise ForestError("cycle detected in forest edges")
-            seen.add(w)
+    children: dict = {v: [] for v in nodes}
+    for child, par in parent.items():
+        children[par].append(child)
+    # every node lies below a root unless the edges close a cycle
+    roots = [v for v in nodes if v not in parent]
+    reached = list(roots)
+    for v in reached:
+        reached.extend(children[v])
+    if len(reached) < len(nodes):
+        raise ForestError("cycle detected in forest edges")
     dec = {}
     for v in nodes:
         value = decoration.get(v, 0) if isinstance(decoration, Mapping) else decoration[v]
@@ -149,15 +175,8 @@ def _canonical_trees(nodes, edges, decoration):
         if value < 0:
             raise ForestError("decorations must be nonnegative integers")
         dec[v] = value
-    class_sizes = Counter(d for d in dec.values() if d > 0)
-    for label, size in class_sizes.items():
-        if size % 2:
-            raise ForestError(f"decoration class {label} has odd size {size}")
-
-    children: dict = {v: [] for v in nodes}
-    for child, par in parent.items():
-        children[par].append(child)
-    return _canonical([_encode_tree(v, children, dec) for v in nodes if v not in parent])
+    _check_classes(dec.values())
+    return _canonical([_encode_tree(v, children, dec) for v in roots])
 
 
 @dataclass(frozen=True)
@@ -203,22 +222,14 @@ class DecoratedForest:
 
     def graph(self):
         """Rebuild a representative ``(nodes, edges, decoration)`` in DFS order."""
-        nodes: list = []
         edges: list = []
         dec: dict = {}
-
-        def walk(t, par):
-            v = len(nodes)
-            nodes.append(v)
-            dec[v] = t[0]
-            if par is not None:
-                edges.append((v, par))
-            for c in t[1]:
-                walk(c, v)
-
         for t in self.trees:
-            walk(t, None)
-        return nodes, edges, dec
+            base = len(dec)
+            for v, (d, kids) in enumerate(_preorder_children(t), base):
+                dec[v] = d
+                edges += [(base + k, v) for k in kids]
+        return list(dec), sorted(edges), dec
 
     @property
     def roots(self) -> tuple:
@@ -243,20 +254,9 @@ def parse_forest(text: str) -> DecoratedForest:
     s = text.strip()
     if s in ("1", ""):
         return DecoratedForest.empty()
-    nodes: list = []
-    edges: list = []
-    dec: dict = {}
-
-    def new_node(d, parent):
-        v = len(nodes)
-        nodes.append(v)
-        dec[v] = d
-        if parent is not None:
-            edges.append((v, parent))
-        return v
-
+    roots: list = []
+    stack: list = []  # the open trees, each a (decoration, children) frame
     pos = 0
-    stack: list = []
     while pos < len(s):
         ch = s[pos]
         if ch == "[":
@@ -266,13 +266,12 @@ def parse_forest(text: str) -> DecoratedForest:
                 pos += 1
             if pos == start:
                 raise ForestError(f"expected decoration digits at position {start} of {text!r}")
-            d = int(s[start:pos])
-            parent = stack[-1] if stack else None
-            stack.append(new_node(d, parent))
+            stack.append((int(s[start:pos]), []))
         elif ch == "]":
             if not stack:
                 raise ForestError(f"unbalanced ']' in {text!r}")
-            stack.pop()
+            d, kids = stack.pop()
+            (stack[-1][1] if stack else roots).append((d, tuple(kids)))
             pos += 1
         elif ch in "·." and not stack:
             pos += 1
@@ -282,7 +281,8 @@ def parse_forest(text: str) -> DecoratedForest:
             raise ForestError(f"unexpected character {ch!r} in {text!r}")
     if stack:
         raise ForestError(f"unbalanced '[' in {text!r}")
-    return DecoratedForest.from_graph(nodes, edges, dec)
+    _check_classes(_preorder(roots))
+    return DecoratedForest(_canonical(roots))
 
 
 # ---------------------------------------------------------------------------
@@ -897,37 +897,24 @@ _ROOT_LETTERS = "ijklabc"
 
 
 def elementary_differential_string(f: DecoratedForest) -> str:
-    """Index-notation elementary differential, e.g. ``"phi_i f^{p1,i}_{i1} f^{p1,i1}"``."""
+    """Index-notation elementary differential, e.g. ``"phi_i f^{p1,i}_{i1} f^{p1,i1}"``.
+
+    Each tree's root takes the next letter of ``ijklabc`` and every other node
+    that letter followed by its preorder number in the tree, so the string
+    depends only on the forest's encoding.
+    """
     if not f.trees:
         return "phi"
-    parts = []
-    root_indices = []
-    pieces = []
-    for t_idx, tree in enumerate(f.trees):
-        letter = _ROOT_LETTERS[t_idx]
-        root_indices.append(letter)
-        counter = itertools.count(1)
-        index: dict = {}
-
-        def assign(t, idx):
-            index[id(t)] = idx
-            for c in t[1]:
-                assign(c, f"{letter}{next(counter)}")
-
-        assign(tree, letter)
-
-        def render(t):
-            dec = t[0]
-            sup = "0" if dec == 0 else f"p{dec}"
-            child_idx = "".join(index[id(c)] for c in t[1])
-            term = f"f^{{{sup},{index[id(t)]}}}"
-            if child_idx:
-                term += f"_{{{child_idx}}}"
-            pieces.append(term)
-            for c in t[1]:
-                render(c)
-
-        render(tree)
-    parts.append("phi_" + "".join(root_indices))
-    parts.extend(pieces)
+    if len(f.trees) > len(_ROOT_LETTERS):
+        raise CapacityError(
+            f"an elementary differential names at most {len(_ROOT_LETTERS)} roots "
+            f"({_ROOT_LETTERS}), got {len(f.trees)}"
+        )
+    parts = ["phi_" + _ROOT_LETTERS[: len(f.trees)]]
+    for letter, tree in zip(_ROOT_LETTERS, f.trees):
+        nodes = _preorder_children(tree)
+        names = [letter] + [f"{letter}{k}" for k in range(1, len(nodes))]
+        for name, (d, kids) in zip(names, nodes):
+            sub = "".join(names[k] for k in kids)
+            parts.append(f"f^{{{f'p{d}' if d else '0'},{name}}}" + (f"_{{{sub}}}" if sub else ""))
     return " ".join(parts)

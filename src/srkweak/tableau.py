@@ -318,6 +318,14 @@ def _parse_entry(value) -> float:
         raise TableauFileError(f"tableau entry {value!r} is too large for a float") from None
 
 
+def _parse_field(data: dict, key: str, kind: type, default=None):
+    """A scalar field of a method file: a JSON integer (not a bool) or a string."""
+    value = data.get(key, default)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TableauFileError(f"{key} must be {'an integer' if kind is int else 'a string'}, got {value!r}")
+    return value
+
+
 def _parse_block(raw, block: str) -> np.ndarray:
     """A block of a method file: a list of entries, or for a matrix a list of rows."""
     matrix = len(_BLOCKS[block]) == 2
@@ -342,12 +350,12 @@ def tableau_from_dict(data: dict) -> MethodTableau:
     # a null Bhat1 reads as an absent one; any other null block is malformed
     blocks = {b: _parse_block(data[b], b) for b in _BLOCKS if b != "Bhat1" or data.get(b) is not None}
     t = make_tableau(
-        data["name"],
+        _parse_field(data, "name", str),
         calculus,
         **blocks,
         c=_parse_entry(data["c"]),
-        det_order=int(data.get("det_order", 1)),
-        weak_order=int(data.get("weak_order", 1)),
+        det_order=_parse_field(data, "det_order", int, 1),
+        weak_order=_parse_field(data, "weak_order", int, 1),
         structure=data.get("structure", EXPLICIT),
     )
     errors = validate(t)

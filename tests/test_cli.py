@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -257,6 +258,22 @@ def test_forests_table(capsys):
     assert len(out) == 44  # header + 43 rows
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["forests", "--table"], "364b5ce3774aa15b3281bf277a555bff318d895a20f1033043a1d674748e0aff"),
+        (
+            ["forests", "--max-order", "3"],
+            "14958926a35e85c99a9247bcd33facb1a92363e618810630e329c13cfb88b932",
+        ),
+    ],
+    ids=["table", "order_three"],
+)
+def test_forests_output_is_pinned(argv, digest, capsys):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_invariant_command(capsys):
     code = main(
         [
@@ -305,10 +322,11 @@ def test_invariant_reports_the_chain_steps_it_averaged(capsys):
         ["check", "MISSING"],
         ["check", "NAN_ENTRY"],
         ["check", "HUGE_ENTRY", "--reduced"],
+        ["check", "NULL_DET_ORDER"],
     ],
     ids=[
         "method", "problem", "potential", "effort_m0", "malformed_file", "missing_file",
-        "nan_entry", "huge_entry",
+        "nan_entry", "huge_entry", "null_det_order",
     ],
 )
 def test_input_errors_print_one_line_and_exit_2(argv, tmp_path, capsys):
@@ -319,6 +337,8 @@ def test_input_errors_print_one_line_and_exit_2(argv, tmp_path, capsys):
     for name, literal in [("NAN_ENTRY", "NaN"), ("HUGE_ENTRY", "1e400")]:
         files[name] = str(tmp_path / f"{name.lower()}.json")
         Path(files[name]).write_text(bdk1.replace('"alpha": [0.5,', f'"alpha": [{literal},'))
+    files["NULL_DET_ORDER"] = str(tmp_path / "null_det_order.json")
+    Path(files["NULL_DET_ORDER"]).write_text(bdk1.replace('"det_order": 2', '"det_order": null'))
     assert main([files.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,5 +1,6 @@
 """Tests for the decorated/exotic forest combinatorics."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -99,15 +100,30 @@ def test_order_and_exotic_flag():
 
 
 def test_text_round_trip():
-    for f in enumerate_forests(2):
+    for f in enumerate_forests(3):
         assert pf(f.text) == f
     assert pf("1") == DecoratedForest.empty()
     assert pf("[0[1][1]]·[0]") == pf("[0].[0[5][5]]")  # '.' accepted, labels free
-    with pytest.raises(ForestError):
-        pf("[0")
-    for bad in ("[x]", "]", "[0]x"):
-        with pytest.raises(ForestError):
-            pf(bad)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[0", "unbalanced '[' in '[0'"),
+        ("[x]", "expected decoration digits at position 1 of '[x]'"),
+        ("]", "unbalanced ']' in ']'"),
+        ("[0]x", "unexpected character 'x' in '[0]x'"),
+        ("[1]", "decoration class 1 has odd size 1"),
+        ("[0]]", "unbalanced ']' in '[0]]'"),
+        ("[1[1][1]]", "decoration class 1 has odd size 3"),
+        ("[0]·[0[1]·[1]]", "unexpected character '·' in '[0]·[0[1]·[1]]'"),  # '·' only between roots
+    ],
+    ids=["open", "no_digits", "close", "trailing", "odd_one", "extra_close", "odd_three", "inner_dot"],
+)
+def test_parse_errors_are_pinned(text, message):
+    with pytest.raises(ForestError) as err:
+        pf(text)
+    assert str(err.value) == message
 
 
 @st.composite
@@ -622,6 +638,27 @@ def test_program_raises_the_per_forest_errors_for_bad_noise_labels():
 )
 def test_elementary_differential_examples(text, rendered):
     assert elementary_differential_string(pf(text)) == rendered
+
+
+def test_elementary_differential_strings_of_every_order_three_forest_are_pinned():
+    rendered = "\n".join(elementary_differential_string(f) for f in enumerate_forests(3))
+    assert hashlib.sha256(rendered.encode()).hexdigest() == (
+        "30218b02193efcd2926995408767e592183410b4a1211bddd441529d40074ba4"
+    )
+
+
+def test_elementary_differential_depends_only_on_the_forest():
+    # equal sibling subtrees written as literals may be one shared object;
+    # each still gets its own index
+    shared = DecoratedForest(((0, ((1, ()), (1, ()))),))
+    assert shared == pf("[0[1][1]]")
+    assert elementary_differential_string(shared) == "phi_i f^{0,i}_{i1i2} f^{p1,i1} f^{p1,i2}"
+
+
+def test_elementary_differential_names_at_most_seven_roots():
+    assert elementary_differential_string(pf("·".join(["[0]"] * 7))).startswith("phi_ijklabc ")
+    with pytest.raises(CapacityError, match="at most 7 roots"):
+        elementary_differential_string(pf("·".join(["[0]"] * 8)))
 
 
 def test_elementary_differential_all_rows_render():

@@ -359,6 +359,20 @@ def test_load_errors(tmp_path):
             tableau_from_dict({**strato, "c": entry})
         with pytest.raises(TableauFileError, match=f"^A0 is not a rectangular numeric matrix: .*{message}$"):
             tableau_from_dict({**strato, "A0": [[entry]]})
+    # the scalar fields: det_order and weak_order are JSON integers, name a string
+    bdk1 = tableau_to_dict(registry_get("BDK1"))
+    for change, message in [
+        ({"det_order": None}, "^det_order must be an integer, got None$"),
+        ({"det_order": 2.7}, "^det_order must be an integer, got 2.7$"),
+        ({"det_order": 2.0}, "^det_order must be an integer, got 2.0$"),
+        ({"det_order": "2"}, "^det_order must be an integer, got '2'$"),
+        ({"det_order": True}, "^det_order must be an integer, got True$"),
+        ({"weak_order": [2]}, r"^weak_order must be an integer, got \[2\]$"),
+        ({"name": None}, "^name must be a string, got None$"),
+        ({"name": 7}, "^name must be a string, got 7$"),
+    ]:
+        with pytest.raises(TableauFileError, match=message):
+            tableau_from_dict({**bdk1, **change})
     # only Bhat1 may be null: it then reads as absent
     with pytest.raises(TableauError, match="^invalid tableau: Stratonovich tableau requires the Bhat1 block$"):
         tableau_from_dict({**strato, "Bhat1": None})
