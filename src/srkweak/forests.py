@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -171,10 +172,9 @@ def _canonical_trees(nodes, edges, decoration):
     dec = {}
     for v in nodes:
         value = decoration.get(v, 0) if isinstance(decoration, Mapping) else decoration[v]
-        value = int(value)
-        if value < 0:
-            raise ForestError("decorations must be nonnegative integers")
-        dec[v] = value
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise ForestError(f"decoration {value!r} of node {v!r} is not a nonnegative integer")
+        dec[v] = int(value)
     _check_classes(dec.values())
     return _canonical([_encode_tree(v, children, dec) for v in roots])
 
@@ -249,38 +249,41 @@ class DecoratedForest:
         return f"DecoratedForest({self.text!r})"
 
 
+_FOREST_TOKEN = re.compile(r"\[([0-9]*)|\S")  # '[' and its decoration, or a non-space
+
+
 def parse_forest(text: str) -> DecoratedForest:
-    """Parse the nested-bracket forest notation, e.g. ``"[0[1][1]]·[0]"``."""
-    s = text.strip()
-    if s in ("1", ""):
+    """Parse the nested-bracket forest notation, e.g. ``"[0[1][1]]·[0]"``: one
+    ``'·'`` or ``'.'`` between each two trees, none elsewhere, whitespace free."""
+    if text.strip() in ("1", ""):
         return DecoratedForest.empty()
     roots: list = []
     stack: list = []  # the open trees, each a (decoration, children) frame
-    pos = 0
-    while pos < len(s):
-        ch = s[pos]
+    sep = None  # position of a separator that no tree has followed yet
+    for token in _FOREST_TOKEN.finditer(text):
+        ch, pos = token[0][0], token.start()
         if ch == "[":
-            pos += 1
-            start = pos
-            while pos < len(s) and s[pos].isdigit():
-                pos += 1
-            if pos == start:
-                raise ForestError(f"expected decoration digits at position {start} of {text!r}")
-            stack.append((int(s[start:pos]), []))
+            if not token[1]:
+                raise ForestError(f"expected decoration digits at position {pos + 1} of {text!r}")
+            if roots and sep is None and not stack:
+                raise ForestError(f"expected '·' before the tree at position {pos} of {text!r}")
+            sep = None
+            stack.append((int(token[1]), []))
         elif ch == "]":
             if not stack:
                 raise ForestError(f"unbalanced ']' in {text!r}")
             d, kids = stack.pop()
             (stack[-1][1] if stack else roots).append((d, tuple(kids)))
-            pos += 1
         elif ch in "·." and not stack:
-            pos += 1
-        elif ch.isspace():
-            pos += 1
+            if not roots or sep is not None:
+                raise ForestError(f"{ch!r} at position {pos} of {text!r} is not between two trees")
+            sep = pos
         else:
             raise ForestError(f"unexpected character {ch!r} in {text!r}")
     if stack:
         raise ForestError(f"unbalanced '[' in {text!r}")
+    if sep is not None:
+        raise ForestError(f"{text[sep]!r} at position {sep} of {text!r} is not between two trees")
     _check_classes(_preorder(roots))
     return DecoratedForest(_canonical(roots))
 

@@ -33,20 +33,20 @@ dense (m+1) x (m+1) Theta: the stages read five per-noise coefficient arrays
 (:func:`randvars.mixing_coefficients`), and since the mixed entries are
 ``Theta[p][q] = theta_q (1 +- eta_0)`` every row of the stage combination
 follows from exclusive suffix and prefix sums, in O(m) per path.
-:func:`step` reads the same coefficients from its draw's generators, and the
-postprocessed Langevin step mixes its inner stage with the same kernel.
 
 The batched core is noise-major: stochastic stage inputs and values have
 shape (m, n, d), theta and the coefficients (m, n), so each noise is a
 contiguous (n, d) row.  Field p reads row p - 1 and its value is stored
 into row p - 1 of the stage array; the stage combination adds whole rows in
-place as running sums.  A single step is the n = 1 case of the same kernel.
+place as running sums.  :func:`step`, on a 1-D state of length d, is the
+n = 1 case of the same kernel and a pure function of its arguments.  Vector
+fields must map batched states (n, d) to arrays of the same shape.
 
-States are 1-D arrays of length d; everything also runs vectorized over a
-leading batch axis (states of shape (n, d)), which the Monte Carlo harness
-uses.  ``step`` is a pure function of its arguments: identical inputs give
-bit-identical outputs.  Vector fields must accept batched states (n, d) and
-return arrays of the same shape.
+The postprocessed Langevin chain has one kernel too, on (n, d) arrays; it
+mixes its inner stages with the core's mix, and
+:func:`langevin_postprocessed_step` is its one-step case.  The chain turns
+each block of pre-drawn uniforms into draws and mixing coefficients a
+sub-block of steps at a time, and equals that step iterated, bit for bit.
 """
 
 from __future__ import annotations
@@ -78,6 +78,8 @@ __all__ = [
 
 FIXED_POINT_TOL = 1e-13
 FIXED_POINT_MAXITER = 200
+_CHAIN_BLOCK_UNIFORMS = 2_000_000  # most uniforms the Langevin chain draws at once
+_CHAIN_SUB_BLOCK_VALUES = 1024  # most theta (or eta) values it forms from them at once
 
 
 class StepError(RuntimeError):
@@ -464,12 +466,6 @@ def integrate_paths(
     to within 1e-12 relative: each cyclic stage block's fixed-point sweeps and
     its stopping test are shared across the batch, so a path may take more
     sweeps than alone.
-
-    Every step runs the tableau's stage program, compiled once.  A sweep of
-    a cyclic block re-forms only the terms that read the block, in the
-    iterates, term scratch and stopping-test scratch the block allocates
-    once per step; the sums associate as in the stage equations, so the
-    paths and the sweep counts do not depend on that reuse.
     """
     _check_step_args(problem, t, h, None)
     family = t.family
@@ -507,6 +503,27 @@ class LangevinState:
     f_xbar: Optional[np.ndarray] = None
 
 
+def _postprocessed_step(F, D, x, f_prev, h, th, coefficients):
+    """One step of the chains ``x`` (n, d), given F at their previous outputs,
+    theta_1..theta_m ``th`` (n, m) and the draws' mixing coefficients.
+    Returns ``(x_next, xbar, F(xbar))``."""
+    H = x + (h / 4.0) * f_prev
+    DH = D(H)                                          # (n, d, m)
+    root_half_h = math.sqrt(h / 2.0)
+    xbar = x + root_half_h * np.einsum("ndp,np->nd", DH, th)
+    f_cur = F(xbar)
+    _, V = _mix(coefficients, np.moveaxis(DH, 2, 0), False, False, True)   # (m, n, d)
+    cols = np.stack([D(H + root_half_h * V[p])[:, :, p] for p in range(len(V))], axis=2)
+    x_next = x + h * f_cur + math.sqrt(2.0 * h) * np.einsum("ndp,np->nd", cols, th)
+    finite = np.isfinite(x_next) & np.isfinite(xbar)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise NonFiniteStateError(
+            f"non-finite state in postprocessed step (h={h}, first bad chain {bad})", h=h, where=bad
+        )
+    return x_next, xbar, f_cur
+
+
 def langevin_postprocessed_step(
     F: Callable,
     D: Callable,
@@ -527,38 +544,15 @@ def langevin_postprocessed_step(
     evaluation per noise column, i.e. two evaluations per column).  The draw
     only uses theta_p and Theta[p][q], p, q >= 1 (the chain draws from the Ito
     c=1/2 family); the inner sums are the Ito mix V of the stepping core, in
-    O(m) per chain from the draw's generators.
+    O(m) per chain from the draw's generators.  This is the one-step case of
+    the kernel that :func:`langevin_chain` runs; a 1-D state is one chain.
     """
-    x = np.atleast_2d(np.asarray(state.x, dtype=float))
-    xbar_prev = np.atleast_2d(np.asarray(state.xbar, dtype=float))
-    squeeze = np.asarray(state.x).ndim == 1
-
-    f_prev = state.f_xbar
-    if f_prev is None:
-        f_prev = F(xbar_prev)
-    f_prev = np.atleast_2d(f_prev)
-
+    x, xbar = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (state.x, state.xbar))
+    f_prev = F(xbar) if state.f_xbar is None else np.atleast_2d(state.f_xbar)
     theta, eta = np.atleast_2d(draw.theta), np.atleast_2d(draw.eta)   # (n, m+1)
-
-    H = x + (h / 4.0) * f_prev
-    DH = D(H)                                          # (n, d, m)
-    root_half_h = math.sqrt(h / 2.0)
-    xbar = x + root_half_h * np.einsum("ndp,np->nd", DH, theta[:, 1:])
-    f_cur = F(xbar)
-
     coefficients = randvars.mixing_coefficients(draw.family, theta, eta)
-    _, V = _mix(coefficients, np.moveaxis(DH, 2, 0), False, False, True)   # (m, n, d)
-    cols = np.stack([D(H + root_half_h * V[p])[:, :, p] for p in range(draw.m)], axis=2)
-    x_next = x + h * f_cur + math.sqrt(2.0 * h) * np.einsum("ndp,np->nd", cols, theta[:, 1:])
-
-    if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(xbar))):
-        bad = int(np.flatnonzero(~(np.isfinite(x_next) & np.isfinite(xbar)).all(axis=1))[0])
-        raise NonFiniteStateError(
-            f"non-finite state in postprocessed step (h={h}, first bad chain {bad})", h=h, where=bad
-        )
-    if squeeze:
-        return LangevinState(x_next[0], xbar[0], f_cur[0])
-    return LangevinState(x_next, xbar, f_cur)
+    out = _postprocessed_step(F, D, x, f_prev, h, theta[:, 1:], coefficients)
+    return LangevinState(*(a[0] if np.ndim(state.x) == 1 else a for a in out))
 
 
 def langevin_chain(
@@ -575,31 +569,39 @@ def langevin_chain(
     """Run the postprocessed chain for ``n_steps`` steps over ``n_chains``
     parallel replicas; calls ``observer(step_index, xbar)`` after each step.
 
-    Randomness is pre-drawn chain-major per block of steps, so results are a
-    pure function of (seed, parameters).
+    Randomness is pre-drawn chain-major per block of steps and turned into
+    draws a sub-block at a time, so results are a pure function of (seed,
+    parameters); x, xbar and F(xbar) are carried as (n_chains, d) arrays.
     """
     family = RvFamily.make(ITO, 0.5)
     d = np.asarray(x0, dtype=float).shape[-1] if np.asarray(x0).ndim else 1
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_chains, d)).copy()
-    state = LangevinState(x, x.copy(), None)
+    xbar = x.copy()
+    f_xbar = F(xbar) if n_steps > 0 else None
     k = family.rv_count(m)
-    block = max(1, min(n_steps, int(2e6 // max(1, n_chains * k))))
-    done = 0
-    while done < n_steps:
-        todo = min(block, n_steps - done)
-        u = rng.random((n_chains, todo, k))
-        for s in range(todo):
-            draw = NoiseDraw(family, *randvars.draws_from_uniforms(family, m, u[:, s, :]))
-            try:
-                state = langevin_postprocessed_step(F, D, state, h, draw)
-            except NonFiniteStateError as exc:
-                raise NonFiniteStateError(
-                    f"non-finite state at step {done + s + 1}/{n_steps} of the postprocessed "
-                    f"chain (h={h}, first bad chain {exc.where})",
-                    h=h,
-                    where=(done + s, exc.where),
-                ) from exc
-            if observer is not None:
-                observer(done + s, state.xbar)
-        done += todo
-    return state
+    block = max(1, _CHAIN_BLOCK_UNIFORMS // max(1, n_chains * k))
+    sub_block = max(1, _CHAIN_SUB_BLOCK_VALUES // max(1, n_chains * (m + 1)))
+    for s in range(n_steps):
+        i = s % block  # the step's row in its block of uniforms
+        if i == 0:
+            u = rng.random((n_chains, min(block, n_steps - s), k))
+        j = i % sub_block
+        if j == 0:
+            theta, eta = randvars.draws_from_uniforms(family, m, u[:, i : i + sub_block])
+            coefficients = randvars.mixing_coefficients(family, theta, eta)
+            # theta_1..theta_m of each step in one step's layout: einsum's
+            # order of summation depends on it (at n_chains = 1, m >= 3)
+            th = np.ascontiguousarray(theta.T[1:].swapaxes(0, 1))
+        step_coefficients = [c if c is None else c[:, j] for c in coefficients]
+        try:
+            x, xbar, f_xbar = _postprocessed_step(F, D, x, f_xbar, h, th[j].T, step_coefficients)
+        except NonFiniteStateError as exc:
+            raise NonFiniteStateError(
+                f"non-finite state at step {s + 1}/{n_steps} of the postprocessed "
+                f"chain (h={h}, first bad chain {exc.where})",
+                h=h,
+                where=(s, exc.where),
+            ) from exc
+        if observer is not None:
+            observer(s, xbar)
+    return LangevinState(x, xbar, f_xbar)

@@ -89,6 +89,30 @@ def test_structural_errors():
         DecoratedForest.from_graph([0, 1, 2], [(0, 1), (0, 2)], {0: 0, 1: 0, 2: 0})
 
 
+@pytest.mark.parametrize(
+    "decoration",
+    [
+        {0: 1.5, 1: 1.2}, {0: 1.0, 1: 1.0}, {0: True, 1: True},
+        {0: np.True_, 1: np.True_}, {0: "1", 1: "1"}, {0: -1, 1: -1},
+    ],
+    ids=["float", "integral_float", "bool", "numpy_bool", "str", "negative"],
+)
+def test_from_graph_rejects_a_decoration_that_is_not_a_nonnegative_integer(decoration):
+    with pytest.raises(ForestError) as err:
+        DecoratedForest.from_graph([0, 1], [], decoration)
+    assert str(err.value) == f"decoration {decoration[0]!r} of node 0 is not a nonnegative integer"
+
+
+def test_from_graph_accepts_numpy_integers():
+    dec = {0: np.int64(1), 1: np.uint8(1), 2: np.int32(0)}
+    assert DecoratedForest.from_graph([0, 1, 2], [(2, 0)], dec) == pf("[1[0]]·[1]")
+
+
+def test_text_whitespace_is_free():
+    assert pf(" [0 [1] [1]] .\t[0]\n") == pf("[0[1][1]]·[0]")
+    assert pf("  1 ") == pf("") == DecoratedForest.empty()
+
+
 def test_order_and_exotic_flag():
     assert pf("[0]").order == 1
     assert pf("[1]·[1]").order == 1
@@ -117,8 +141,20 @@ def test_text_round_trip():
         ("[0]]", "unbalanced ']' in '[0]]'"),
         ("[1[1][1]]", "decoration class 1 has odd size 3"),
         ("[0]·[0[1]·[1]]", "unexpected character '·' in '[0]·[0[1]·[1]]'"),  # '·' only between roots
+        ("[²]", "expected decoration digits at position 1 of '[²]'"),
+        ("·", "'·' at position 0 of '·' is not between two trees"),
+        ("..", "'.' at position 0 of '..' is not between two trees"),
+        ("·[0]··", "'·' at position 0 of '·[0]··' is not between two trees"),
+        ("[0]·", "'·' at position 3 of '[0]·' is not between two trees"),
+        ("[0]..[0]", "'.' at position 4 of '[0]..[0]' is not between two trees"),
+        ("[0][0]", "expected '·' before the tree at position 3 of '[0][0]'"),
+        (" [0] [0]", "expected '·' before the tree at position 5 of ' [0] [0]'"),
     ],
-    ids=["open", "no_digits", "close", "trailing", "odd_one", "extra_close", "odd_three", "inner_dot"],
+    ids=[
+        "open", "no_digits", "close", "trailing", "odd_one", "extra_close", "odd_three", "inner_dot",
+        "superscript_digit", "lone_dot", "two_dots", "outer_dots", "last_dot", "double_dot",
+        "no_dot", "no_dot_spaced",
+    ],
 )
 def test_parse_errors_are_pinned(text, message):
     with pytest.raises(ForestError) as err:

@@ -710,6 +710,38 @@ def test_every_method_is_pinned(problem, name):
     assert prob.eval_counts.tolist() == counts
 
 
+@pytest.mark.parametrize("n_chains", [1, 3])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3, 10])
+def test_langevin_chain_equals_the_iterated_public_step(monkeypatch, m, d, n_chains):
+    # blocks of 7 steps and sub-blocks of 3, so 20 steps cross both kinds of
+    # boundary; the loop draws the same blocks and steps through them one by one
+    fam = RvFamily.make(ITO, 0.5)
+    k = fam.rv_count(m)
+    monkeypatch.setattr(stepper, "_CHAIN_BLOCK_UNIFORMS", 7 * n_chains * k)
+    monkeypatch.setattr(stepper, "_CHAIN_SUB_BLOCK_VALUES", 3 * n_chains * (m + 1))
+    A = 0.3 * np.random.default_rng(m + d).standard_normal((d, d, m))
+    F = lambda x: -x - 0.1 * x**3
+    D = lambda x: np.eye(d, m) + np.einsum("nk,kdp->ndp", np.sin(x), A)
+    x0, h, n_steps = 0.1 * np.arange(1, d + 1), 0.2, 20
+    xbars = []
+    chain = langevin_chain(
+        F, D, x0, m, h, n_steps, np.random.default_rng(m), n_chains=n_chains,
+        observer=lambda s, xbar: xbars.append(xbar.copy()),
+    )
+    rng = np.random.default_rng(m)
+    x = np.broadcast_to(x0, (n_chains, d)).copy()
+    state = LangevinState(x, x.copy())
+    for start in range(0, n_steps, 7):
+        u = rng.random((n_chains, min(7, n_steps - start), k))
+        for s in range(u.shape[1]):
+            draw = NoiseDraw(fam, *draws_from_uniforms(fam, m, u[:, s, :]))
+            state = langevin_postprocessed_step(F, D, state, h, draw)
+            assert xbars[start + s].tobytes() == state.xbar.tobytes()
+    for got, want in zip((chain.x, chain.xbar, chain.f_xbar), (state.x, state.xbar, state.f_xbar)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_langevin_chain_is_pinned():
     # criterion 9's stream consumer: the OU chain seeded as run_invariant_measure seeds it
     F, D, d, m, _, _ = invariant_setup("ou")
@@ -733,4 +765,17 @@ def test_langevin_chain_is_pinned():
     assert [v.hex() for v in state.xbar.ravel().tolist()] == [
         "0x1.0c60765fcc40dp-2", "-0x1.03f4329584fdap+0", "0x1.19d6c83998a10p-2",
         "0x1.4fe3aec2851a5p+0", "0x1.ddbe16ee8e5dep-3", "0x1.b8537e7fb259ap-3",
+    ]
+    # m = 3 on d = 2: eta_0 is drawn, and both up and low enter every inner stage
+    coupling3 = np.array([[1.0, -0.5, 0.25], [0.5, 1.0, -0.75]])
+    D3 = lambda x: np.eye(2, 3) + 0.3 * np.sin(x)[:, :, None] * coupling3
+    rng = np.random.default_rng(np.random.SeedSequence((6,)))
+    state = langevin_chain(F, D3, np.zeros(2), 3, 0.25, 100, rng, n_chains=3)
+    assert [v.hex() for v in state.x.ravel().tolist()] == [
+        "0x1.6df0fbcdda464p-1", "0x1.3dd14c5d51c70p+0", "-0x1.18200ee0555f2p+0",
+        "-0x1.027d2500461e2p+0", "-0x1.88af45cc93004p-2", "-0x1.dd1ca6aef992cp-1",
+    ]
+    assert [v.hex() for v in state.xbar.ravel().tolist()] == [
+        "0x1.7f4393407185dp-1", "0x1.cefa375050009p+0", "-0x1.1e3ccb399eff4p+0",
+        "-0x1.9098225fe8c30p-1", "-0x1.536fa969b4d4ep-1", "-0x1.de4fe73db9e5cp-1",
     ]
