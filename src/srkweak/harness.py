@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .randvars import ITO
-from .stepper import SdeProblem, StepError, integrate_paths, langevin_chain
+from .stepper import SdeProblem, StepError, _check_step_size, integrate_paths, langevin_chain
 from .tableau import MethodTableau
 
 __all__ = [
@@ -222,6 +222,7 @@ def make_problem(name: str) -> ProblemSetup:
 
 
 def _steps_for(T: float, h: float) -> int:
+    _check_step_size(h)
     n = T / h
     n_int = round(n)
     if abs(n - n_int) > 1e-9 or n_int < 1:
@@ -281,10 +282,10 @@ def run_convergence(
 ) -> ConvergenceTable:
     """One weak-error record per step size plus the regression slope."""
     h_list = list(h_list)
-    if any(h2 >= h1 for h1, h2 in zip(h_list, h_list[1:])):
-        raise ValueError("step sizes must be strictly decreasing")
     for h in h_list:  # reject every step size before simulating any
         _steps_for(setup.T, h)
+    if any(h2 >= h1 for h1, h2 in zip(h_list, h_list[1:])):
+        raise ValueError("step sizes must be strictly decreasing")
     table = ConvergenceTable(method=method.name, problem=setup.name)
     for i, h in enumerate(h_list):
         table.records.append(
@@ -390,8 +391,7 @@ def run_invariant_measure(
     """
     if n_chains < 1:
         raise ValueError("need at least one chain")
-    if not h > 0.0:
-        raise ValueError(f"the step size must be positive, got {h}")
+    _check_step_size(h)
     if n_steps < 1:
         raise ValueError("need at least one post-burn-in step")
     if burn_in < 0:

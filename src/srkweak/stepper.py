@@ -42,6 +42,13 @@ place as running sums.  :func:`step`, on a 1-D state of length d, is the
 n = 1 case of the same kernel and a pure function of its arguments.  Vector
 fields must map batched states (n, d) to arrays of the same shape.
 
+The uniforms of :func:`integrate_paths` are consumed from the generator
+path-major (path 0's whole sequence, then path 1's, ...) but stored
+step-major, as one (n_steps, k, n) array filled a chunk of paths at a time,
+so each step reads its k uniforms per path as k contiguous rows.  The array
+holds as many values as a path-major one would; a chunk in flight adds at
+most 64 Ki more, or one path's sequence where that is longer.
+
 The postprocessed Langevin chain has one kernel too, on (n, d) arrays; it
 mixes its inner stages with the core's mix, and
 :func:`langevin_postprocessed_step` is its one-step case.  The chain turns
@@ -80,6 +87,7 @@ FIXED_POINT_TOL = 1e-13
 FIXED_POINT_MAXITER = 200
 _CHAIN_BLOCK_UNIFORMS = 2_000_000  # most uniforms the Langevin chain draws at once
 _CHAIN_SUB_BLOCK_VALUES = 1024  # most theta (or eta) values it forms from them at once
+_STREAM_CHUNK_UNIFORMS = 65_536  # most uniforms integrate_paths draws before transposing them
 
 
 class StepError(RuntimeError):
@@ -292,19 +300,27 @@ class _StageValues:
         np.multiply(self.coefficients[2][:, :, None], self.Fst[j], out=out)
         return np.multiply(self.sqh * a, out, out=out)
 
-    def fresh_x(self, stage):
-        """A copy of x: (n, d) for a drift stage, (m, n, d) for a stochastic one."""
+    def empty(self, stage):
+        """A stage input, unset: (n, d) for a drift stage, (m, n, d) for a stochastic one."""
         xb = self.xb
-        H = np.empty(xb.shape if stage.kind == "drift" else (self.problem.m,) + xb.shape)
-        H[...] = xb
+        return np.empty(xb.shape if stage.kind == "drift" else (self.problem.m,) + xb.shape)
+
+    def fresh_x(self, stage):
+        """A copy of x as the stage's input."""
+        H = self.empty(stage)
+        H[...] = self.xb
         return H
 
     def prefix_sum(self, stage):
         """x plus the stage's prefix terms, in order, as a fresh array."""
-        acc = self.fresh_x(stage)
-        if stage.prefix:
+        if not stage.prefix:
+            return self.fresh_x(stage)
+        first, *rest = stage.prefix
+        acc = self.term(*first, self.empty(stage))
+        acc += self.xb  # t + x is x + t bit for bit, and x is not copied first
+        if rest:
             scratch = np.empty_like(acc)
-            for block, entries in stage.prefix:
+            for block, entries in rest:
                 acc += self.term(block, entries, scratch)
         return acc
 
@@ -382,8 +398,14 @@ def _apply_step(problem, t, xb, h, th, coefficients):
             values.evaluate(stage, values.prefix_sum(stage))
     F0, Fst = values.F0, values.Fst
     del values  # frees the mixes, which the update does not read
-    out = xb.copy()
-    for i, a in program.alpha:
+    alpha = program.alpha
+    if alpha:  # x + (h alpha_i) F0[i] for the first nonzero alpha_i, in one pass
+        (i, a), alpha = alpha[0], alpha[1:]
+        out = np.multiply(h * a, F0[i])
+        out += xb
+    else:
+        out = xb.copy()
+    for i, a in alpha:
         out += (h * a) * F0[i]
     sqh = math.sqrt(h)
     for j, b in program.beta:
@@ -391,9 +413,14 @@ def _apply_step(problem, t, xb, h, th, coefficients):
     return out
 
 
+def _check_step_size(h: float) -> None:
+    """The one rule for step sizes, shared by every stepping entry point."""
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"the step size must be a finite positive number, got {h}")
+
+
 def _check_step_args(problem: SdeProblem, t: MethodTableau, h: float, draw: Optional[NoiseDraw]):
-    if h <= 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
+    _check_step_size(h)
     if problem.calculus != t.calculus:
         raise ValueError(
             f"calculus mismatch: problem is {problem.calculus}, method {t.name} is {t.calculus}"
@@ -432,6 +459,7 @@ def integrate_path(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """n-fold composition of :func:`step` with a fresh draw per step."""
+    _check_step_args(problem, t, h, None)
     family = t.family
     x = np.asarray(x0, dtype=float)
     for k in range(n_steps):
@@ -461,7 +489,10 @@ def integrate_paths(
 
     The random variables are pre-drawn path-major (path 0 consumes its whole
     per-step sequence first, then path 1, ...), so a batch reproduces
-    :func:`integrate_path` run path after path on the same generator.  For
+    :func:`integrate_path` run path after path on the same generator and
+    leaves it where one ``rng.random((n_paths, n_steps, k))`` would.  They are
+    stored step-major, (n_steps, k, n_paths), in an array of the same size,
+    so each step reads contiguous rows.  For
     explicit methods it does so bit for bit.  For implicit methods it agrees
     to within 1e-12 relative: each cyclic stage block's fixed-point sweeps and
     its stopping test are shared across the batch, so a path may take more
@@ -471,14 +502,19 @@ def integrate_paths(
     family = t.family
     m = problem.m
     k = family.rv_count(m)
-    u = rng.random((n_paths, n_steps, k))
+    # path-major draws, a chunk of paths at a time, transposed into step-major rows
+    ut = np.empty((n_steps, k, n_paths))
+    chunk = max(1, _STREAM_CHUNK_UNIFORMS // max(1, n_steps * k))
+    for a in range(0, n_paths, chunk):
+        b = min(a + chunk, n_paths)
+        ut[:, :, a:b] = rng.random((b - a, n_steps, k)).transpose(1, 2, 0)
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, problem.d)).copy()
     for s in range(n_steps):
-        theta, eta = randvars.draws_from_uniforms(family, m, u[:, s, :])
+        theta, eta = randvars.draws_from_uniforms(family, m, ut[s].T)
         coefficients = randvars.mixing_coefficients(family, theta, eta)
         del eta  # the stages need only theta and the coefficients
         x = _apply_step(problem, t, x, h, theta.T[1:], coefficients)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             bad = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
             raise NonFiniteStateError(
                 f"non-finite state at step {s + 1}/{n_steps} of {t.name} "
@@ -547,6 +583,7 @@ def langevin_postprocessed_step(
     O(m) per chain from the draw's generators.  This is the one-step case of
     the kernel that :func:`langevin_chain` runs; a 1-D state is one chain.
     """
+    _check_step_size(h)
     x, xbar = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (state.x, state.xbar))
     f_prev = F(xbar) if state.f_xbar is None else np.atleast_2d(state.f_xbar)
     theta, eta = np.atleast_2d(draw.theta), np.atleast_2d(draw.eta)   # (n, m+1)
@@ -573,6 +610,7 @@ def langevin_chain(
     draws a sub-block at a time, so results are a pure function of (seed,
     parameters); x, xbar and F(xbar) are carried as (n_chains, d) arrays.
     """
+    _check_step_size(h)
     family = RvFamily.make(ITO, 0.5)
     d = np.asarray(x0, dtype=float).shape[-1] if np.asarray(x0).ndim else 1
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_chains, d)).copy()

@@ -226,14 +226,18 @@ EM_ASYMPTOTIC_MAX_H = 1 / 8
 
 
 class _AtomSequences:
-    """A stand-in generator whose ``random`` returns the given uniforms."""
+    """A stand-in generator whose ``random`` returns the given uniforms, one
+    block of paths (leading rows) per call, in order."""
 
     def __init__(self, u):
         self.u = u
+        self.used = 0
 
     def random(self, shape):
-        assert shape == self.u.shape
-        return self.u
+        block = self.u[self.used : self.used + shape[0]]
+        assert block.shape == tuple(shape)
+        self.used += shape[0]
+        return block
 
 
 @pytest.mark.parametrize("h", sorted(EM_EXACT_COARSE_ERRORS))
@@ -250,9 +254,9 @@ def test_em_exact_coarse_errors_replay_every_atom_sequence(h):
     n_steps = round(setup.T / h)
     sequences = np.array(list(itertools.product(range(len(u)), repeat=n_steps)))
     weights = np.prod(table.probs[sequences], axis=1)
-    X = harness.integrate_paths(
-        setup.make(), method, setup.x0, h, n_steps, len(sequences), _AtomSequences(u[sequences][..., None])
-    )
+    rng = _AtomSequences(u[sequences][..., None])
+    X = harness.integrate_paths(setup.make(), method, setup.x0, h, n_steps, len(sequences), rng)
+    assert rng.used == len(sequences)  # every sequence was replayed, each once
     exact = float(weights @ setup.observable.phi(X))
     error = abs(exact - setup.observable.exact_expectation(setup.T))
     assert math.fsum(weights) == pytest.approx(1.0, abs=1e-14)

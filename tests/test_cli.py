@@ -392,6 +392,25 @@ def test_converge_rejects_bad_step_sizes_before_simulating(h, message, capsys, m
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h", ["0", "-0.5", "nan", "inf"])
+@pytest.mark.parametrize("command", ["converge", "invariant"])
+def test_a_bad_step_size_prints_one_line_and_exits_2(command, h, capsys, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before rejecting the step size")
+
+    monkeypatch.setattr(harness, "integrate_paths", no_simulation)
+    monkeypatch.setattr(harness, "langevin_chain", no_simulation)
+    if command == "converge":
+        argv = ["converge", "sinh1d", "BDK2", "--h", f"0.5,{h}"]
+    else:
+        argv = ["invariant", "--h", h, "--steps", "10"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines == [f"srkweak: error: the step size must be a finite positive number, got {float(h)!r}"]
+
+
 def test_a_failed_step_prints_one_line_and_exits_2(capsys):
     # the fixed-point solve of ItoDIRKEX's implicit drift stage does not converge at h = 2
     argv = ["converge", "sinh1d", "ItoDIRKEX", "--h", "2,1", "--batches", "2", "--paths", "10"]

@@ -122,6 +122,26 @@ def test_run_convergence_requires_decreasing_h():
         run_convergence(setup, registry_get("BDK1"), [0.25, 0.5], 2, 2, seed=0)
 
 
+@pytest.mark.parametrize("h", [0.0, -0.5, math.nan, math.inf], ids=repr)
+def test_harness_entry_points_reject_a_bad_step_size(h, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before rejecting the step size")
+
+    monkeypatch.setattr(harness, "integrate_paths", no_simulation)
+    monkeypatch.setattr(harness, "langevin_chain", no_simulation)
+    setup, method = make_problem("det_exponential"), registry_get("BDK1")
+    F, D, d, m, _, _ = invariant_setup("ou")
+    message = f"the step size must be a finite positive number, got {h!r}"
+    with pytest.raises(ValueError, match=message):
+        estimate_weak_error(setup, method, h, 2, 2, seed=0)
+    # checked before the order of the step sizes, and before any is simulated
+    for h_list in ([0.5, h], [h, 0.5]):
+        with pytest.raises(ValueError, match=message):
+            run_convergence(setup, method, h_list, 2, 2, seed=0)
+    with pytest.raises(ValueError, match=message):
+        run_invariant_measure(F, D, d, m, h, 10, 0, seed=0)
+
+
 def test_fit_slope_on_synthetic_data():
     hs = [0.5, 0.25, 0.125]
     assert fit_slope(hs, [c * h**2 for c, h in zip([3, 3, 3], hs)]) == pytest.approx(2.0)

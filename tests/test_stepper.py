@@ -513,18 +513,99 @@ def test_batched_generators_and_coefficients_are_noise_major(calculus, c):
         assert a.shape == (m, 50) and a.flags.c_contiguous
 
 
+def _mixed_noise_problem(calculus, m):
+    fields = [lambda x: -0.4 * x] + [
+        (lambda k: lambda x: (0.2 + 0.1 * k) * np.sin(x) + 0.1)(k) for k in range(m)
+    ]
+    return SdeProblem(1, m, calculus, fields)
+
+
 @pytest.mark.parametrize("name", ["BDK1", "BDK2", "BDK3", "StratoExplicit24"])
 def test_batch_matches_sequential_with_mixed_noises(name):
     t = registry_get(name)
     for m in (3, 10):  # m = 10 is the shape of the tennoise benchmark
-        fields = [lambda x: -0.4 * x] + [
-            (lambda k: lambda x: (0.2 + 0.1 * k) * np.sin(x) + 0.1)(k) for k in range(m)
-        ]
-        prob = SdeProblem(1, m, t.calculus, fields)
+        prob = _mixed_noise_problem(t.calculus, m)
         xb = integrate_paths(prob, t, np.array([0.5]), 0.125, 6, 4, np.random.default_rng(21))
         rng = np.random.default_rng(21)
         xs = np.stack([integrate_path(prob, t, np.array([0.5]), 0.125, 6, rng) for _ in range(4)])
         assert np.array_equal(xb, xs), m
+
+
+# ---------------------------------------------------------------------------
+# the uniform stream: drawn path-major, stored step-major in chunks of paths
+
+
+@pytest.mark.parametrize("name", ["BDK3", "ItoDIRKEX", "StratoExplicit24"])
+@pytest.mark.parametrize("n_steps,n_paths", [(6, 5), (1, 1), (3, 1), (1, 4)])
+def test_integrate_paths_leaves_the_generator_where_one_draw_would(monkeypatch, name, n_steps, n_paths):
+    t = registry_get(name)
+    k = t.family.rv_count(3)
+    monkeypatch.setattr(stepper, "_STREAM_CHUNK_UNIFORMS", 2 * n_steps * k)  # 2 paths a chunk
+    rng = np.random.default_rng(31)
+    integrate_paths(_mixed_noise_problem(t.calculus, 3), t, np.array([0.5]), 0.125, n_steps, n_paths, rng)
+    reference = np.random.default_rng(31)
+    reference.random((n_paths, n_steps, k))
+    assert rng.random(5).tobytes() == reference.random(5).tobytes()
+
+
+@pytest.mark.parametrize("n_steps,n_paths", [(0, 4), (3, 0), (0, 0)])
+def test_an_empty_batch_consumes_no_uniforms(n_steps, n_paths):
+    rng = np.random.default_rng(32)
+    state = rng.bit_generator.state
+    x = integrate_paths(sinh_problem(), registry_get("BDK3"), np.array([0.7]), 0.1, n_steps, n_paths, rng)
+    assert x.shape == (n_paths, 1) and np.all(x == 0.7)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("name", ["BDK3", "ItoDIRKEX"])
+@pytest.mark.parametrize("m", [1, 3, 10])
+def test_chunks_of_the_uniform_stream_do_not_change_the_paths(monkeypatch, name, m):
+    # ItoDIRKEX and BDK3 draw k = 2 uniforms per step at m = 1, 2m + 1 above
+    t = registry_get(name)
+    n_steps, n_paths, k = 6, 5, t.family.rv_count(m)
+    run = lambda: integrate_paths(
+        _mixed_noise_problem(ITO, m), t, np.array([0.5]), 0.125, n_steps, n_paths,
+        np.random.default_rng(33),
+    )
+    whole = run()  # one chunk holds every path
+    for paths_per_chunk in (1, 2):  # one path; 2 does not divide 5
+        monkeypatch.setattr(stepper, "_STREAM_CHUNK_UNIFORMS", paths_per_chunk * n_steps * k)
+        assert run().tobytes() == whole.tobytes(), paths_per_chunk
+    # and path after path: bit for bit when explicit, within 1e-12 when implicit
+    rng = np.random.default_rng(33)
+    prob = _mixed_noise_problem(ITO, m)
+    alone = np.stack([integrate_path(prob, t, np.array([0.5]), 0.125, n_steps, rng) for _ in range(n_paths)])
+    if name in IMPLICIT_METHODS:
+        np.testing.assert_allclose(whole, alone, rtol=1e-12, atol=0.0)
+    else:
+        assert whole.tobytes() == alone.tobytes()
+
+
+BAD_STEP_SIZES = [0.0, -0.5, math.nan, math.inf]
+STEP_SIZE_MESSAGE = "the step size must be a finite positive number, got "
+
+
+@pytest.mark.parametrize("h", BAD_STEP_SIZES, ids=repr)
+def test_every_stepping_entry_point_rejects_a_bad_step_size(h):
+    t = registry_get("BDK1")
+    prob = sinh_problem()
+    x0 = np.array([0.0])
+    draw = sample_draw(t.family, 1, np.random.default_rng(6))
+    F, D, d, m, _, _ = invariant_setup("ou")
+    calls = {
+        "step": lambda: step(prob, t, x0, h, draw),
+        "integrate_path": lambda: integrate_path(prob, t, x0, h, 3, np.random.default_rng(6)),
+        "integrate_path, no steps": lambda: integrate_path(prob, t, x0, h, 0, np.random.default_rng(6)),
+        "integrate_paths": lambda: integrate_paths(prob, t, x0, h, 3, 2, np.random.default_rng(6)),
+        "langevin_postprocessed_step": lambda: langevin_postprocessed_step(
+            F, D, LangevinState(x0, x0), h, sample_draw(RvFamily.make(ITO, 0.5), 1, np.random.default_rng(6))
+        ),
+        "langevin_chain": lambda: langevin_chain(F, D, x0, m, h, 3, np.random.default_rng(6)),
+    }
+    for call in calls.values():
+        with pytest.raises(ValueError, match=STEP_SIZE_MESSAGE + repr(h)):
+            call()
+    assert prob.eval_counts.tolist() == [0, 0]
 
 
 # ---------------------------------------------------------------------------
