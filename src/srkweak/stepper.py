@@ -13,19 +13,18 @@ and the update
 
 Each tableau is compiled once, on first use, into a stage program (cached
 for as long as the tableau lives): the stage blocks in the dependency order
-induced by the nonzero coefficient entries (:func:`tableau.stage_blocks`;
-drift and stochastic stages may interleave), each stage's nonzero entries as
-Python floats in column order, which mixes of each stochastic stage some
-stage reads, and the nonzero alpha and beta.  A step runs that program and
-never rereads the tableau.  A block that does not read itself is evaluated
-once; a cyclic block is solved by fixed-point iteration on its own stages,
-with tolerance ``1e-13 * (1 + |x|)`` in the max norm over the block and the
-batch, and an iteration cap of 200.  A sweep re-forms only the terms that
-read the block: x plus the terms before the first in-block one, and the
-products of the later out-of-block terms, are formed once per step, and the
-sums still associate as x + term_1 + term_2 + ... in column order.  Each
-diffusion value f^q(H_j^q) is computed once per (j, q) and reused everywhere
-it appears, which is what makes the optimal per-step evaluation counts
+of :func:`tableau.stage_blocks` (drift and stochastic stages may
+interleave), each stage's nonzero entries as Python floats in column order,
+which mixes of each stochastic stage some stage reads, and the update as a
+last stage whose terms are the nonzero alpha and beta.  A step runs that
+program and never rereads the tableau; every stage input and the update are
+summed by one routine, as x + term_1 + term_2 + ... in column order.  A
+block that does not read itself is evaluated once; a cyclic block is solved
+by fixed-point iteration on its own stages, with tolerance
+``1e-13 * (1 + |x|)`` in the max norm over the block and the batch, and an
+iteration cap of 200.  A sweep re-forms only the terms that read the block,
+and each diffusion value f^q(H_j^q) is computed once per (j, q) and reused
+everywhere it appears, which makes the optimal per-step evaluation counts
 attainable.
 
 A step's noise is carried by its generators (theta, eta) and never as the
@@ -49,11 +48,12 @@ so each step reads its k uniforms per path as k contiguous rows.  The array
 holds as many values as a path-major one would; a chunk in flight adds at
 most 64 Ki more, or one path's sequence where that is longer.
 
-The postprocessed Langevin chain has one kernel too, on (n, d) arrays; it
-mixes its inner stages with the core's mix, and
-:func:`langevin_postprocessed_step` is its one-step case.  The chain turns
-each block of pre-drawn uniforms into draws and mixing coefficients a
-sub-block of steps at a time, and equals that step iterated, bit for bit.
+The postprocessed Langevin chain has one kernel too, on (n, d) arrays with
+theta as noise-major rows.  Its sums over noises are the core's mix and
+weighted sum, in an order fixed whatever the draw's memory layout, and
+:func:`langevin_postprocessed_step` is its one-step case.  The chain forms
+draws and mixing coefficients a sub-block of steps at a time from blocks of
+pre-drawn uniforms, and equals that step iterated, bit for bit.
 """
 
 from __future__ import annotations
@@ -143,13 +143,13 @@ class _Stage(NamedTuple):
     """One stage of a compiled tableau: its input is x plus its terms in order.
 
     A term is ``(block, entries)``: the coefficient block it comes from
-    ("A0", "B0", "A1", "B1" or "Bhat1") and the nonzero ``(j, entry)`` pairs
-    of the stage's row there, as Python floats in column order.  Each entry
-    is one term, except that a row's A1 entries form a single term, since
-    Theta[p][0] multiplies their sum.  ``prefix`` holds the terms before the
-    first one that reads a stage of the stage's own cyclic block (all of
-    them outside a cyclic block); ``rest`` holds the others as
-    ``(term, in_block)`` pairs.
+    ("A0", "B0", "A1", "B1" or "Bhat1"; the update stage reads "A0" for alpha
+    and "beta") and the nonzero ``(j, entry)`` pairs of the stage's row there,
+    as Python floats in column order.  Each entry is one term, except that a
+    row's A1 entries form a single term, since Theta[p][0] multiplies their
+    sum.  ``prefix`` holds the terms before the first one that reads a stage
+    of the stage's own cyclic block (all of them outside a cyclic block);
+    ``rest`` holds the others as ``(term, in_block)`` pairs.
     """
 
     kind: str
@@ -161,8 +161,8 @@ class _Stage(NamedTuple):
 class _StageProgram(NamedTuple):
     """A tableau compiled for stepping: the blocks of :func:`tableau.stage_blocks`
     as ``(stages, cyclic)``, which mixes of each stochastic stage some stage
-    reads (``reads_U``, ``reads_V``), and the nonzero ``(i, alpha_i)`` and
-    ``(j, beta_j)`` of the update."""
+    reads (``reads_U``, ``reads_V``), and the update as one more stage, whose
+    terms are the nonzero alpha ("A0") and beta ("beta") entries."""
 
     name: str
     strato: bool
@@ -171,8 +171,7 @@ class _StageProgram(NamedTuple):
     blocks: tuple
     reads_U: tuple
     reads_V: tuple
-    alpha: tuple
-    beta: tuple
+    update: _Stage
 
 
 def _nonzero(row) -> tuple:
@@ -211,9 +210,10 @@ def _stage_program(t: MethodTableau) -> _StageProgram:
     # stochastic stages only, through column j of B1; the update and Bhat1
     # read f^q(H_j^q) itself
     reads_U, reads_V = (tuple(np.any(b != 0.0, axis=0).tolist()) for b in (t.B0, t.B1))
+    update = tuple((b, (e,)) for b, row in (("A0", t.alpha), ("beta", t.beta)) for e in _nonzero(row))
     return _StageProgram(
         t.name, strato, t.s1, t.s2, tuple(blocks), reads_U, reads_V,
-        _nonzero(t.alpha), _nonzero(t.beta),
+        _Stage("update", 0, update, ()),
     )
 
 
@@ -228,21 +228,17 @@ def _weighted_sum(w, F):
     return out
 
 
-def _mix(coefficients, F, strato, want_U, want_V):
+def _mix(coefficients, F, strato):
     """Combine the stage values F = f^q(H_j^q), shape (m, n, d), with Theta.
 
-    Returns U = sum_q Theta[0][q] F_q, shape (n, d), and V of shape (m, n, d)
-    whose row p is sum_{q >= 1} Theta[p][q] F_q; for Stratonovich the
-    diagonal q = p is left out, since it enters through Bhat1.  The mixed
-    entries are theta_q (1 +- eta_0), so running exclusive suffix and prefix
-    sums over the contiguous noise rows give every row in O(m).  They add in
-    the order of a ``cumsum`` along the noise axis.  A mix that is not
-    wanted is returned as None.
+    Returns V of shape (m, n, d) whose row p is sum_{q >= 1} Theta[p][q] F_q;
+    for Stratonovich the diagonal q = p is left out, since it enters through
+    Bhat1.  The mixed entries are theta_q (1 +- eta_0), so running exclusive
+    suffix and prefix sums over the contiguous noise rows give every row in
+    O(m).  They add in the order of a ``cumsum`` along the noise axis.  (The
+    row p = 0 mix, U = sum_q Theta[0][q] F_q, is one :func:`_weighted_sum`.)
     """
-    row0, _, diag, up, low = coefficients
-    U = _weighted_sum(row0, F) if want_U else None
-    if not want_V:
-        return U, None
+    _, _, diag, up, low = coefficients
     V = np.zeros_like(F) if strato else diag[:, :, None] * F
     if up is not None:
         m = len(F)
@@ -257,7 +253,7 @@ def _mix(coefficients, F, strato, want_U, want_V):
             V[p] += acc
             if p < m - 1:
                 acc += np.multiply(low[p, :, None], F[p], out=term)
-    return U, V
+    return V
 
 
 class _StageValues:
@@ -265,17 +261,17 @@ class _StageValues:
 
     F0[i] is f^0 at drift stage i, shape (n, d); Fst[j] holds f^q at
     stochastic stage j in row q - 1, shape (m, n, d); U[j] and V[j] are its
-    mixes, formed only where some stage reads them.  ``coefficients`` are the
-    five noise-major (m, n) coefficient rows of
-    :func:`randvars.mixing_coefficients`.
+    mixes, formed only where some stage reads them.  ``th`` holds
+    theta_1..theta_m and ``coefficients`` the five coefficient rows of
+    :func:`randvars.mixing_coefficients`, all noise-major (m, n).
     """
 
-    __slots__ = ("problem", "program", "xb", "h", "sqh", "coefficients", "F0", "Fst", "U", "V")
+    __slots__ = ("problem", "program", "xb", "h", "sqh", "th", "coefficients", "F0", "Fst", "U", "V")
 
-    def __init__(self, problem, program, xb, h, coefficients):
+    def __init__(self, problem, program, xb, h, th, coefficients):
         self.problem, self.program, self.xb, self.h = problem, program, xb, h
         self.sqh = math.sqrt(h)
-        self.coefficients = coefficients
+        self.th, self.coefficients = th, coefficients
         self.F0 = [None] * program.s1
         self.Fst = [None] * program.s2
         self.U = [None] * program.s2   # sum_q Theta[0][q] f^q(H_j^q), (n, d)
@@ -296,14 +292,16 @@ class _StageValues:
             return np.multiply(self.sqh * a, self.U[j], out=out)
         if block == "B1":
             return np.multiply(self.sqh * a, self.V[j], out=out)
+        if block == "beta":  # the update's sum_p theta_p f^p(H_j^p)
+            return np.multiply(self.sqh * a, _weighted_sum(self.th, self.Fst[j]), out=out)
         # Bhat1, on the diagonal q = p
         np.multiply(self.coefficients[2][:, :, None], self.Fst[j], out=out)
         return np.multiply(self.sqh * a, out, out=out)
 
     def empty(self, stage):
-        """A stage input, unset: (n, d) for a drift stage, (m, n, d) for a stochastic one."""
+        """A stage input, unset: (m, n, d) for a stochastic stage, else (n, d)."""
         xb = self.xb
-        return np.empty(xb.shape if stage.kind == "drift" else (self.problem.m,) + xb.shape)
+        return np.empty((self.problem.m,) + xb.shape if stage.kind == "stoch" else xb.shape)
 
     def fresh_x(self, stage):
         """A copy of x as the stage's input."""
@@ -337,10 +335,10 @@ class _StageValues:
         F = self.Fst[i] = np.empty_like(H)
         for p in range(problem.m):
             F[p] = problem.eval_field(p + 1, H[p])
-        if program.reads_U[i] or program.reads_V[i]:
-            self.U[i], self.V[i] = _mix(
-                self.coefficients, F, program.strato, program.reads_U[i], program.reads_V[i]
-            )
+        if program.reads_U[i]:
+            self.U[i] = _weighted_sum(self.coefficients[0], F)
+        if program.reads_V[i]:
+            self.V[i] = _mix(self.coefficients, F, program.strato)
 
     def solve(self, stages):
         """Fixed-point iteration on a cyclic block's stage inputs, started from x.
@@ -389,34 +387,27 @@ def _apply_step(problem, t, xb, h, th, coefficients):
     """One step of the batch ``xb`` (n, d); ``th`` holds theta_1..theta_m as
     noise-major rows (m, n)."""
     program = _stage_program(t)
-    values = _StageValues(problem, program, xb, h, coefficients)
+    values = _StageValues(problem, program, xb, h, th, coefficients)
     for stages, cyclic in program.blocks:  # in dependency order
         if cyclic:
             values.solve(stages)
         else:
             (stage,) = stages
             values.evaluate(stage, values.prefix_sum(stage))
-    F0, Fst = values.F0, values.Fst
-    del values  # frees the mixes, which the update does not read
-    alpha = program.alpha
-    if alpha:  # x + (h alpha_i) F0[i] for the first nonzero alpha_i, in one pass
-        (i, a), alpha = alpha[0], alpha[1:]
-        out = np.multiply(h * a, F0[i])
-        out += xb
-    else:
-        out = xb.copy()
-    for i, a in alpha:
-        out += (h * a) * F0[i]
-    sqh = math.sqrt(h)
-    for j, b in program.beta:
-        out += (sqh * b) * _weighted_sum(th, Fst[j])
-    return out
+    values.U = values.V = None  # frees the mixes, which the update does not read
+    return values.prefix_sum(program.update)
 
 
 def _check_step_size(h: float) -> None:
     """The one rule for step sizes, shared by every stepping entry point."""
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"the step size must be a finite positive number, got {h}")
+
+
+def _check_count(what: str, n, least: int = 0) -> None:
+    """The one rule for counts of steps, paths, chains (0 draws nothing) and noises (at least 1)."""
+    if not (isinstance(n, (int, np.integer)) and n >= least):
+        raise ValueError(f"the number of {what} must be an integer of at least {least}, got {n!r}")
 
 
 def _check_step_args(problem: SdeProblem, t: MethodTableau, h: float, draw: Optional[NoiseDraw]):
@@ -460,6 +451,7 @@ def integrate_path(
 ) -> np.ndarray:
     """n-fold composition of :func:`step` with a fresh draw per step."""
     _check_step_args(problem, t, h, None)
+    _check_count("steps", n_steps)
     family = t.family
     x = np.asarray(x0, dtype=float)
     for k in range(n_steps):
@@ -499,6 +491,8 @@ def integrate_paths(
     sweeps than alone.
     """
     _check_step_args(problem, t, h, None)
+    _check_count("steps", n_steps)
+    _check_count("paths", n_paths)
     family = t.family
     m = problem.m
     k = family.rv_count(m)
@@ -541,16 +535,17 @@ class LangevinState:
 
 def _postprocessed_step(F, D, x, f_prev, h, th, coefficients):
     """One step of the chains ``x`` (n, d), given F at their previous outputs,
-    theta_1..theta_m ``th`` (n, m) and the draws' mixing coefficients.
-    Returns ``(x_next, xbar, F(xbar))``."""
+    theta_1..theta_m ``th`` as noise-major rows (m, n) and the draws' mixing
+    coefficients.  The sums over noises are the stepping core's, in its fixed
+    order.  Returns ``(x_next, xbar, F(xbar))``."""
     H = x + (h / 4.0) * f_prev
-    DH = D(H)                                          # (n, d, m)
+    DH = np.moveaxis(D(H), 2, 0)                       # (m, n, d): column p of D(H) in row p
     root_half_h = math.sqrt(h / 2.0)
-    xbar = x + root_half_h * np.einsum("ndp,np->nd", DH, th)
+    xbar = x + root_half_h * _weighted_sum(th, DH)
     f_cur = F(xbar)
-    _, V = _mix(coefficients, np.moveaxis(DH, 2, 0), False, False, True)   # (m, n, d)
-    cols = np.stack([D(H + root_half_h * V[p])[:, :, p] for p in range(len(V))], axis=2)
-    x_next = x + h * f_cur + math.sqrt(2.0 * h) * np.einsum("ndp,np->nd", cols, th)
+    V = _mix(coefficients, DH, False)                  # (m, n, d)
+    cols = np.stack([D(H + root_half_h * V[p])[:, :, p] for p in range(len(V))])
+    x_next = x + h * f_cur + math.sqrt(2.0 * h) * _weighted_sum(th, cols)
     finite = np.isfinite(x_next) & np.isfinite(xbar)
     if not finite.all():
         bad = int(np.flatnonzero(~finite.all(axis=1))[0])
@@ -579,16 +574,17 @@ def langevin_postprocessed_step(
     evaluation and m+1 D evaluations (the shared D(H) plus one p-shifted
     evaluation per noise column, i.e. two evaluations per column).  The draw
     only uses theta_p and Theta[p][q], p, q >= 1 (the chain draws from the Ito
-    c=1/2 family); the inner sums are the Ito mix V of the stepping core, in
-    O(m) per chain from the draw's generators.  This is the one-step case of
-    the kernel that :func:`langevin_chain` runs; a 1-D state is one chain.
+    c=1/2 family); the sums over noises are the stepping core's weighted sum
+    and Ito mix V, in O(m) per chain from the draw's generators and in the
+    same order whatever the draw's memory layout.  This is the one-step case
+    of the kernel that :func:`langevin_chain` runs; a 1-D state is one chain.
     """
     _check_step_size(h)
     x, xbar = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (state.x, state.xbar))
     f_prev = F(xbar) if state.f_xbar is None else np.atleast_2d(state.f_xbar)
     theta, eta = np.atleast_2d(draw.theta), np.atleast_2d(draw.eta)   # (n, m+1)
     coefficients = randvars.mixing_coefficients(draw.family, theta, eta)
-    out = _postprocessed_step(F, D, x, f_prev, h, theta[:, 1:], coefficients)
+    out = _postprocessed_step(F, D, x, f_prev, h, theta.T[1:], coefficients)
     return LangevinState(*(a[0] if np.ndim(state.x) == 1 else a for a in out))
 
 
@@ -611,6 +607,9 @@ def langevin_chain(
     parameters); x, xbar and F(xbar) are carried as (n_chains, d) arrays.
     """
     _check_step_size(h)
+    _check_count("noises", m, least=1)
+    _check_count("steps", n_steps)
+    _check_count("chains", n_chains)
     family = RvFamily.make(ITO, 0.5)
     d = np.asarray(x0, dtype=float).shape[-1] if np.asarray(x0).ndim else 1
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_chains, d)).copy()
@@ -627,12 +626,9 @@ def langevin_chain(
         if j == 0:
             theta, eta = randvars.draws_from_uniforms(family, m, u[:, i : i + sub_block])
             coefficients = randvars.mixing_coefficients(family, theta, eta)
-            # theta_1..theta_m of each step in one step's layout: einsum's
-            # order of summation depends on it (at n_chains = 1, m >= 3)
-            th = np.ascontiguousarray(theta.T[1:].swapaxes(0, 1))
         step_coefficients = [c if c is None else c[:, j] for c in coefficients]
         try:
-            x, xbar, f_xbar = _postprocessed_step(F, D, x, f_xbar, h, th[j].T, step_coefficients)
+            x, xbar, f_xbar = _postprocessed_step(F, D, x, f_xbar, h, theta.T[1:, j], step_coefficients)
         except NonFiniteStateError as exc:
             raise NonFiniteStateError(
                 f"non-finite state at step {s + 1}/{n_steps} of the postprocessed "

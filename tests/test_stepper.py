@@ -19,6 +19,7 @@ from srkweak.randvars import (
 )
 from srkweak.stepper import (
     _mix,
+    _weighted_sum,
     ImplicitSolveError,
     LangevinState,
     NonFiniteStateError,
@@ -449,6 +450,27 @@ def test_langevin_inner_stage_matches_dense_einsum(m):
         assert np.all(np.abs(got - want[:, p]) <= 1e-14 * scale[:, p])
 
 
+@pytest.mark.parametrize("m", [3, 10])
+def test_the_public_postprocessed_step_does_not_depend_on_the_draws_layout(m):
+    # one draw, its theta and eta contiguous or every other entry of a wider
+    # array: the sums over noises add in one fixed order, so the bits agree
+    fam, d = RvFamily.make(ITO, 0.5), 2
+    A = 0.3 * np.random.default_rng(m).standard_normal((d, d, m))
+    F = lambda x: -x - 0.1 * x**3
+    D = lambda x: np.eye(d, m) + np.einsum("nk,kdp->ndp", np.sin(x), A)
+    for seed in range(15):
+        rng = np.random.default_rng(seed)
+        theta, eta = draws_from_uniforms(fam, m, rng.random(fam.rv_count(m)))
+        x = rng.standard_normal(d)
+        outs = []
+        for layout in (np.ascontiguousarray, lambda a: np.repeat(a, 2)[::2]):
+            draw = NoiseDraw(fam, layout(theta), layout(eta))
+            state = langevin_postprocessed_step(F, D, LangevinState(x, x), 0.25, draw)
+            outs.append((state.x.tobytes(), state.xbar.tobytes(), state.f_xbar.tobytes()))
+        assert not np.repeat(theta, 2)[::2].flags.c_contiguous
+        assert outs[0] == outs[1], seed
+
+
 # ---------------------------------------------------------------------------
 # structured stage mixing
 
@@ -465,12 +487,7 @@ def test_structured_mixing_matches_dense_einsum(calculus, c, m):
     F = rng.standard_normal((m, n, d))
     strato = calculus == STRATONOVICH
     coefficients = mixing_coefficients(fam, theta, eta)
-    U, V = _mix(coefficients, F, strato, True, True)
-    # a mix formed alone is the same array, and the one not wanted is None
-    U_alone, no_V = _mix(coefficients, F, strato, True, False)
-    no_U, V_alone = _mix(coefficients, F, strato, False, True)
-    assert no_U is None and no_V is None
-    assert np.array_equal(U_alone, U) and np.array_equal(V_alone, V)
+    U, V = _weighted_sum(coefficients[0], F), _mix(coefficients, F, strato)
     Theta = _assemble_reference(fam, m, eta, theta[:, 1:])
     Thpq = Theta[:, 1:, 1:].copy()
     if strato:
@@ -489,14 +506,45 @@ def test_only_mixes_that_a_stage_reads_are_formed(monkeypatch, name, mixes_per_s
     calls = []
 
     def counting_mix(*args):
-        calls.append(args[3:])
+        calls.append(args)
         return _mix(*args)
 
     monkeypatch.setattr(stepper, "_mix", counting_mix)
     setup = make_problem("sinh1d")
     integrate_paths(setup.make(), registry_get(name), setup.x0, 0.25, 4, 3, np.random.default_rng(0))
     assert len(calls) == 4 * mixes_per_step
-    assert all(wanted == (True, True) for wanted in calls)
+
+
+def test_a_stage_forms_only_the_mix_that_is_read(monkeypatch):
+    # stochastic stage 0 is read only through B0 (by drift stage 1), so it
+    # forms U and makes no _mix call; stage 1 only through B1 (by stochastic
+    # stage 2), so it makes a _mix call and forms no U; stage 2 enters only
+    # the update, through beta, and forms neither
+    t = make_tableau(
+        "mixes", ITO, [0.5, 0.5], [0.0, 0.5, 0.5],
+        [[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+        np.zeros((3, 2)), [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        c=0.5, det_order=1, weak_order=1, structure="explicit",
+    )
+    mixed, formed = [], []
+    mix, evaluate = stepper._mix, stepper._StageValues.evaluate
+
+    def counting_mix(coefficients, F, strato):
+        mixed.append(len(formed))  # the stage being evaluated when _mix is called
+        return mix(coefficients, F, strato)
+
+    def recording_evaluate(values, stage, H):
+        if stage.kind == "stoch":
+            formed.append(None)
+        evaluate(values, stage, H)
+        if stage.kind == "stoch":
+            formed[-1] = (stage.i, values.U[stage.i] is not None, values.V[stage.i] is not None)
+
+    monkeypatch.setattr(stepper, "_mix", counting_mix)
+    monkeypatch.setattr(stepper._StageValues, "evaluate", recording_evaluate)
+    integrate_paths(_mixed_noise_problem(ITO, 2), t, np.array([0.5]), 0.125, 2, 3, np.random.default_rng(0))
+    assert formed == [(0, True, False), (1, False, True), (2, False, False)] * 2
+    assert mixed == [2, 5]  # once a step, while stochastic stage 1 is evaluated
 
 
 @pytest.mark.parametrize("calculus,c", MIX_FAMILIES)
@@ -606,6 +654,48 @@ def test_every_stepping_entry_point_rejects_a_bad_step_size(h):
         with pytest.raises(ValueError, match=STEP_SIZE_MESSAGE + repr(h)):
             call()
     assert prob.eval_counts.tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("n", [-1, 1.5], ids=repr)
+def test_every_stepping_entry_point_rejects_a_bad_count(n):
+    t = registry_get("BDK1")
+    prob = sinh_problem()
+    x0 = np.array([0.0])
+    F, D, _, m, _, _ = invariant_setup("ou")
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    calls = {
+        "steps": [
+            lambda: integrate_path(prob, t, x0, 0.25, n, rng),
+            lambda: integrate_paths(prob, t, x0, 0.25, n, 2, rng),
+            lambda: langevin_chain(F, D, x0, m, 0.25, n, rng),
+        ],
+        "paths": [lambda: integrate_paths(prob, t, x0, 0.25, 3, n, rng)],
+        "chains": [lambda: langevin_chain(F, D, x0, m, 0.25, 3, rng, n_chains=n)],
+    }
+    for what, entry_points in calls.items():
+        message = f"the number of {what} must be an integer of at least 0, got {n!r}$"
+        for call in entry_points:
+            with pytest.raises(ValueError, match=message):
+                call()
+    # and at least one noise
+    with pytest.raises(ValueError, match="the number of noises must be an integer of at least 1, got 0$"):
+        langevin_chain(F, lambda x: np.ones(x.shape + (0,)), x0, 0, 0.25, 3, rng)
+    assert prob.eval_counts.tolist() == [0, 0]
+    assert rng.bit_generator.state == state
+
+
+def test_no_steps_or_no_chains_draw_nothing():
+    F, D, d, m, _, _ = invariant_setup("ou")
+    rng = np.random.default_rng(34)
+    state = rng.bit_generator.state
+    x = integrate_path(sinh_problem(), registry_get("BDK3"), np.array([0.7]), 0.1, 0, rng)
+    assert x.tolist() == [0.7]
+    chain = langevin_chain(F, D, np.full(d, 0.7), m, 0.1, 0, rng, n_chains=2)
+    assert chain.x.tolist() == chain.xbar.tolist() == [[0.7], [0.7]] and chain.f_xbar is None
+    chain = langevin_chain(F, D, np.full(d, 0.7), m, 0.1, 5, rng, n_chains=0)
+    assert chain.x.shape == chain.xbar.shape == chain.f_xbar.shape == (0, d)
+    assert rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------
