@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .randvars import ITO
-from .stepper import SdeProblem, StepError, _check_step_size, integrate_paths, langevin_chain
+from .stepper import SdeProblem, StepError, _check_count, _check_step_size, integrate_paths, langevin_chain
 from .tableau import MethodTableau
 
 __all__ = [
@@ -221,6 +221,12 @@ def make_problem(name: str) -> ProblemSetup:
 # weak-error estimation
 
 
+def _check_seed(seed) -> None:
+    """The one rule for seeds, shared by the weak-error and invariant-measure runs."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"the seed must be a non-negative integer, got {seed!r}")
+
+
 def _steps_for(T: float, h: float) -> int:
     _check_step_size(h)
     n = T / h
@@ -239,12 +245,9 @@ def estimate_weak_error(
     seed: int,
 ) -> ConvergenceRecord:
     """Monte Carlo estimate of E[phi(X_T)] and its weak error at one step size."""
-    if n_batches < 2:
-        raise ValueError("need at least two batches for a standard error")
-    if n_per_batch < 1:
-        raise ValueError("need at least one path per batch")
-    if seed < 0:
-        raise ValueError(f"the seed must be a non-negative integer, got {seed}")
+    _check_count("batches", n_batches, least=2)  # two for a standard error
+    _check_count("paths per batch", n_per_batch, least=1)
+    _check_seed(seed)
     n_steps = _steps_for(setup.T, h)
     problem = setup.make()
     means = np.empty(n_batches)
@@ -300,8 +303,7 @@ def run_convergence(
 
 def evaluation_counts(method: MethodTableau, m: int) -> tuple:
     """(N_d, N_s): instrumented drift/diffusion evaluations of one step."""
-    if m < 1:
-        raise ValueError("need at least one noise")
+    _check_count("noises", m, least=1)
     zero = lambda x: np.zeros_like(x)
     problem = SdeProblem(1, m, method.calculus, [zero] * (m + 1))
     integrate_paths(problem, method, np.zeros(1), 1.0, 1, 1, np.random.default_rng(0))
@@ -389,15 +391,11 @@ def run_invariant_measure(
     means over ``_TIME_BATCHES`` contiguous time blocks.  Results are a pure
     function of (seed, params).
     """
-    if n_chains < 1:
-        raise ValueError("need at least one chain")
+    _check_count("chains", n_chains, least=1)
     _check_step_size(h)
-    if n_steps < 1:
-        raise ValueError("need at least one post-burn-in step")
-    if burn_in < 0:
-        raise ValueError(f"the burn-in must not be negative, got {burn_in}")
-    if seed < 0:
-        raise ValueError(f"the seed must be a non-negative integer, got {seed}")
+    _check_count("post-burn-in steps", n_steps, least=1)
+    _check_count("burn-in steps", burn_in)
+    _check_seed(seed)
     steps_per_chain = int(math.ceil(n_steps / n_chains))
     total = burn_in + steps_per_chain
     if x0 is None:

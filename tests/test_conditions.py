@@ -287,11 +287,56 @@ PINNED_TABLE_LHS = {  # check_all_table lhs row by row; BDK2~fresh is _fresh_c(B
 }
 
 
+PINNED_REDUCED_LHS = {  # check_reduced lhs row by row; StratoDIRK~fresh is _fresh_c(StratoDIRK, 8)
+    "BDK2": [
+        "0x1.fffffffffffffp-1", "0x1.0000000000000p+0", "0x1.0000000000000p-1",
+        "0x1.fffffffffffffp-2", "0x1.ffffffffffffep-2", "0x1.0000000000000p-1",
+        "0x1.0000000000000p-1", "0x1.0000000000000p-2", "0x0.0p+0",
+        "0x0.0p+0",
+    ],
+    "StratoExplicit24": [
+        "0x1.0000000000000p+0", "0x1.fffffffffffffp-1", "0x1.0000000000000p-1",
+        "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.0000000000000p-1",
+        "0x1.0000000000000p-2", "0x1.fffffffffffffp-2", "0x1.0000000000000p-2",
+        "0x1.0000000000000p-2", "0x1.fffffffffffffp-2", "0x1.fffffffffffffp-3",
+        "0x1.0000000000000p-3", "0x1.0000000000000p-3", "0x1.0000000000000p-3",
+        "0x1.0000000000000p-3", "0x1.0000000000000p-3", "0x1.0000000000000p-2",
+        "0x1.0000000000000p-2", "0x1.0000000000000p-2", "0x1.0000000000000p-3",
+        "0x1.5555555555555p-4", "0x1.5555555555555p-5", "0x1.0000000000000p-2",
+        "0x1.5555555555555p-2", "0x1.5555555555555p-3", "0x0.0p+0",
+    ],
+    "BDK2~fresh": [
+        "0x1.0d9bdf7bba504p+0", "0x1.12f04ebc20c11p+0", "0x1.f0e07524ac2fap-2",
+        "0x1.0323c04af9b41p-1", "0x1.009fa75bf9d60p-1", "0x1.0718712d753bbp-1",
+        "0x1.195b787d921f4p-1", "0x1.1fecfe8ff9c8ap-2", "0x0.0p+0",
+    ],
+    "StratoDIRK~fresh": [
+        "0x1.ee482e9ab014fp-1", "0x1.02bef00a48286p+0", "0x1.01a286ffcaa0bp-1",
+        "0x1.096c9ec93df75p-1", "0x1.e383d6e95d04ap-2", "0x1.d8fb89d8dba4fp-3",
+        "0x1.05a5aeb357449p-2", "0x1.f6725fb0eadcdp-2", "0x1.ecfe92d65485ep-3",
+        "0x1.f7127f1459cffp-3", "0x1.0cf3302bb54d3p-1", "0x1.17af4dd66860cp-2",
+        "0x1.22ed91f8b03e3p-3", "0x1.1e1f9b27ba5e7p-3", "0x1.0f5ce4adf5663p-3",
+        "0x1.14bf89779ded4p-3", "0x1.1b06c1985f5a7p-3", "0x1.085f8671c99eap-2",
+        "0x1.0ccffda66d7e3p-2", "0x1.2313a9cc91956p-2", "0x1.009625da07610p-3",
+        "0x1.5a2434df8f2d2p-4", "0x1.400e3ad522a31p-5", "0x1.0580fb10aa06ap-2",
+        "0x1.5bcbaf10127f2p-2", "0x1.4ee6680c26250p-3",
+    ],
+}
+
+
+def _pinned_tableau(key):
+    name = key.split("~")[0]
+    return _fresh_c(registry_get(name), 8) if key.endswith("~fresh") else registry_get(name)
+
+
 @pytest.mark.parametrize("key", sorted(PINNED_TABLE_LHS))
 def test_table_lhs_are_pinned(key):
-    name = key.split("~")[0]
-    t = _fresh_c(registry_get(name), 8) if key.endswith("~fresh") else registry_get(name)
-    assert [rec.lhs.hex() for rec in check_all_table(t).records] == PINNED_TABLE_LHS[key]
+    assert [rec.lhs.hex() for rec in check_all_table(_pinned_tableau(key)).records] == PINNED_TABLE_LHS[key]
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_REDUCED_LHS))
+def test_reduced_lhs_are_pinned(key):
+    assert [rec.lhs.hex() for rec in check_reduced(_pinned_tableau(key)).records] == PINNED_REDUCED_LHS[key]
 
 
 # ---------------------------------------------------------------------------

@@ -647,6 +647,16 @@ def test_order_three_program_matches_the_per_forest_map_bit_for_bit(name):
     assert got == [fo.rk_coefficient_map(t, f).hex() for f in listing]
 
 
+def test_order_three_program_values_are_pinned():
+    # every order-3 forest (1270, exotic or not) on every registered method,
+    # in registry order, one float.hex per line
+    program = fo.contraction_program(tuple(enumerate_forests(3)))
+    text = "\n".join(v.hex() for name in registry_names() for v in program.evaluate(registry_get(name)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5e12075e68afa1ea9c3dc35719b5aefeebc2608913efd4a092f5c5ae917c4b1d"
+    )
+
+
 def test_program_raises_the_per_forest_errors_for_bad_noise_labels():
     bdk1 = registry_get("BDK1")
     f = pf("[1[2]]·[1]·[2]")

@@ -1,6 +1,7 @@
 """Tests for the benchmark problems, weak-error estimation, and effort metric."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,53 @@ def test_harness_entry_points_reject_a_bad_step_size(h, monkeypatch):
         run_invariant_measure(F, D, d, m, h, 10, 0, seed=0)
 
 
+BAD_COUNTS_AND_SEEDS = [  # (entry point, parameter, value, message)
+    ("weak", "n_batches", 2.0, "the number of batches must be an integer of at least 2, got 2.0"),
+    ("weak", "n_batches", 1, "the number of batches must be an integer of at least 2, got 1"),
+    ("weak", "n_per_batch", 3.0, "the number of paths per batch must be an integer of at least 1, got 3.0"),
+    ("weak", "n_per_batch", 0, "the number of paths per batch must be an integer of at least 1, got 0"),
+    ("weak", "seed", 1.5, "the seed must be a non-negative integer, got 1.5"),
+    ("weak", "seed", -1, "the seed must be a non-negative integer, got -1"),
+    ("invariant", "n_steps", 2.5, "the number of post-burn-in steps must be an integer of at least 1, got 2.5"),
+    ("invariant", "n_steps", 0, "the number of post-burn-in steps must be an integer of at least 1, got 0"),
+    ("invariant", "burn_in", 0.5, "the number of burn-in steps must be an integer of at least 0, got 0.5"),
+    ("invariant", "burn_in", -5, "the number of burn-in steps must be an integer of at least 0, got -5"),
+    ("invariant", "n_chains", 2.0, "the number of chains must be an integer of at least 1, got 2.0"),
+    ("invariant", "n_chains", 0, "the number of chains must be an integer of at least 1, got 0"),
+    ("invariant", "seed", 1.5, "the seed must be a non-negative integer, got 1.5"),
+    ("invariant", "seed", -1, "the seed must be a non-negative integer, got -1"),
+    ("effort", "m", 1.5, "the number of noises must be an integer of at least 1, got 1.5"),
+    ("effort", "m", 0, "the number of noises must be an integer of at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry,name,value,message", BAD_COUNTS_AND_SEEDS, ids=[f"{e}-{n}={v!r}" for e, n, v, _ in BAD_COUNTS_AND_SEEDS]
+)
+def test_harness_entry_points_reject_bad_counts_and_seeds(entry, name, value, message, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before rejecting the count or seed")
+
+    monkeypatch.setattr(harness, "integrate_paths", no_simulation)
+    monkeypatch.setattr(harness, "langevin_chain", no_simulation)
+    setup, method = make_problem("det_exponential"), registry_get("BDK1")
+    F, D, d, m, _, _ = invariant_setup("ou")
+    pattern = f"^{re.escape(message)}$"
+    if entry == "weak":
+        args = {"n_batches": 2, "n_per_batch": 2, "seed": 0, name: value}
+        with pytest.raises(ValueError, match=pattern):
+            estimate_weak_error(setup, method, 0.25, **args)
+        with pytest.raises(ValueError, match=pattern):
+            run_convergence(setup, method, [0.5, 0.25], **args)
+    elif entry == "invariant":
+        args = {"n_steps": 10, "burn_in": 0, "seed": 0, "n_chains": 2, name: value}
+        with pytest.raises(ValueError, match=pattern):
+            run_invariant_measure(F, D, d, m, 0.25, **args)
+    else:
+        with pytest.raises(ValueError, match=pattern):
+            evaluation_counts(method, **{name: value})
+
+
 def test_fit_slope_on_synthetic_data():
     hs = [0.5, 0.25, 0.125]
     assert fit_slope(hs, [c * h**2 for c, h in zip([3, 3, 3], hs)]) == pytest.approx(2.0)
@@ -170,8 +218,6 @@ def test_evaluation_counts():
     assert evaluation_counts(registry_get("BDK2"), 3) == (3, 2)
     assert evaluation_counts(registry_get("StratoExplicit24"), 2) == (2, 4)
     assert effort_counts(registry_get("BDK3"), 4) == (3, 2, 9, 20)
-    with pytest.raises(ValueError, match="at least one noise"):
-        evaluation_counts(registry_get("BDK1"), 0)
 
 
 def test_weak_error_on_ito_geometric_brownian_motion():
