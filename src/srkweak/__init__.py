@@ -17,8 +17,6 @@ from .forests import (
     generator_map,
     generator_sum,
     gl_exponential,
-    gl_product,
-    moebius,
     parse_forest,
     rk_coefficient_map,
     symmetry,

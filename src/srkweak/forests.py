@@ -10,9 +10,8 @@ This module provides canonical forms, enumeration, symmetry coefficients, the
 concatenation and Grossman-Larson products, the deshuffle and
 Butcher-Connes-Kreimer coproducts, the convolution and Grossman-Larson
 exponentials that produce the exact-flow coefficients of an SDE generator,
-decoration-refinement combinatorics with Moebius inversion, elementary
-differential rendering, and the Runge-Kutta coefficient map of a method
-tableau on a forest.
+decoration-refinement combinatorics, elementary differential rendering, and
+the Runge-Kutta coefficient map of a method tableau on a forest.
 
 Every operation computes on the canonical encoding of a forest, a sorted
 tuple of ``(decoration, (child, ...))`` trees, and canonicalises its result
@@ -53,20 +52,17 @@ __all__ = [
     "ForestSum",
     "CoefficientMap",
     "ForestError",
-    "PosetError",
     "CapacityError",
     "parse_forest",
     "enumerate_forests",
     "symmetry",
     "concat",
-    "gl_product",
     "gl_exponential",
     "bck_coproduct",
     "deshuffle",
     "convolution_product",
     "convolution_exp",
     "finer_decorations",
-    "moebius",
     "generator_sum",
     "generator_map",
     "exact_flow_coefficients",
@@ -81,10 +77,6 @@ MAX_ORDER = 3
 
 class ForestError(ValueError):
     """Raised for structurally invalid forests (cycles, odd decoration class)."""
-
-
-class PosetError(ForestError):
-    """Raised when two forests are not comparable in the refinement order."""
 
 
 def _encode_tree(v, children, dec):
@@ -464,15 +456,6 @@ def _gl_pair(f1: DecoratedForest, f2: DecoratedForest) -> Mapping:
     return dict(out)
 
 
-def gl_product(a, b) -> ForestSum:
-    """Grossman-Larson product, bilinear over forest sums."""
-    if isinstance(a, DecoratedForest):
-        a = ForestSum({a: 1})
-    if isinstance(b, DecoratedForest):
-        b = ForestSum({b: 1})
-    return a.gl(b)
-
-
 def concat(f1: DecoratedForest, f2: DecoratedForest) -> DecoratedForest:
     """Concatenation product: disjoint union with disjoint nonzero decorations."""
     return DecoratedForest(_canonical(f1.trees + _shifted(f1, f2)))
@@ -586,7 +569,9 @@ def deshuffle(f: DecoratedForest):
 
     Trees joined by a shared decoration class always stay on the same side of
     the tensor.  Returns ``(left, right, multiplicity)`` triples; each distinct
-    ordered pair of forests appears once.
+    ordered pair of forests appears once.  Both sides of an order condition
+    factor over the split: a forest's exact-flow target and its Runge-Kutta
+    coefficient are those of ``left`` times those of ``right``.
     """
     blocks: list = []  # (labels, trees): root trees merged while they share a label
     for tree in f.trees:
@@ -653,13 +638,13 @@ def convolution_exp(l: CoefficientMap, max_order: int) -> CoefficientMap:
 
 
 # ---------------------------------------------------------------------------
-# decoration refinement and Moebius inversion
+# decoration refinement
 
 
 def _set_partitions(elems, parts: str):
     """Set partitions of ``elems`` as lists of frozensets.
 
-    ``parts`` restricts the part sizes: ``"any"``, ``"even"`` or ``"pairs"``.
+    ``parts`` restricts the part sizes: ``"even"`` or ``"pairs"``.
     The part holding the first element comes first, its other members chosen
     in ``itertools.combinations`` order.
     """
@@ -670,7 +655,7 @@ def _set_partitions(elems, parts: str):
     first = elems[0]
     rest = elems[1:]
     # how many other elements join the first one's part
-    sizes = {"any": range(len(rest) + 1), "even": range(1, len(rest) + 1, 2), "pairs": (1,)}[parts]
+    sizes = {"even": range(1, len(rest) + 1, 2), "pairs": (1,)}[parts]
     for k in sizes:
         for others in itertools.combinations(rest, k):
             part = frozenset((first,) + others)
@@ -713,25 +698,6 @@ def finer_decorations(f: DecoratedForest, exotic_only: bool = False):
     """
     out = Counter(_refinements(f, "pairs" if exotic_only else "even"))
     return sorted(out.items(), key=lambda kv: kv[0].trees)
-
-
-def moebius(fine: DecoratedForest, coarse: DecoratedForest) -> int:
-    """Moebius function of the decoration-refinement poset between two forests.
-
-    ``fine`` must refine ``coarse``: some merge of ``fine``'s decoration
-    classes gives ``coarse``, and the first such merge found, a set partition
-    of the nonzero labels, is used.  The decorations between the two merge
-    fine classes within each coarse class, and any union of even classes is
-    even, so the interval is the product over coarse classes of the
-    partition lattices of the fine classes they merge.  The Moebius function
-    of a product is the product of the factors', and that of the partition
-    lattice of k elements is ``(-1)^(k-1) (k-1)!``.
-    """
-    for merge in _set_partitions(sorted(fine.decoration_sizes), "any"):
-        relabel = {0: 0, **{label: k for k, part in enumerate(merge, 1) for label in part}}
-        if _canonical(_relabelled(fine.trees, relabel)) == coarse.trees:
-            return math.prod((-1) ** (len(part) - 1) * math.factorial(len(part) - 1) for part in merge)
-    raise PosetError("first forest does not refine the second")
 
 
 # ---------------------------------------------------------------------------

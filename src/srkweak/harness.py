@@ -21,8 +21,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .randvars import ITO
-from .stepper import SdeProblem, StepError, _check_count, _check_step_size, integrate_paths, langevin_chain
+from .randvars import ITO, _check_count
+from .stepper import SdeProblem, StepError, _check_step_size, integrate_paths, langevin_chain
 from .tableau import MethodTableau
 
 __all__ = [

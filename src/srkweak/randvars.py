@@ -314,10 +314,15 @@ def mixing_coefficients(family: RvFamily, theta: np.ndarray, eta: np.ndarray):
     return row0, col0, diag, th * (1.0 + e[0]), th * (1.0 - e[0])
 
 
+def _check_count(what: str, n, least: int = 0) -> None:
+    """The one rule for every count (steps, paths, chains, batches, noises, state dimensions)."""
+    if not (isinstance(n, (int, np.integer)) and n >= least):
+        raise ValueError(f"the number of {what} must be an integer of at least {least}, got {n!r}")
+
+
 def sample_draw(family: RvFamily, m: int, rng: np.random.Generator) -> NoiseDraw:
     """Sample one step's draw; consumes exactly ``rv_count(m)`` uniforms from rng."""
-    if m < 1:
-        raise ValueError("need at least one noise")
+    _check_count("noises", m, least=1)
     u = rng.random(family.rv_count(m))
     theta, eta = draws_from_uniforms(family, m, u)
     theta.setflags(write=False)
@@ -329,8 +334,7 @@ _ATOM_CACHE: dict = {}
 
 
 def _check_noise_count(m: int) -> None:
-    if m < 1:
-        raise ValueError("need at least one noise")
+    _check_count("noises", m, least=1)
     if m > MAX_ATOM_NOISES:
         raise CapacityError(f"atom enumeration supports m <= {MAX_ATOM_NOISES}")
 
@@ -474,6 +478,8 @@ def moment(family: RvFamily, m: int, monomial: Iterable) -> float:
     it), and the row is validated and memoized there.
     """
     pairs = [(tuple(factor), exponent) for factor, exponent in monomial]
+    if not all(isinstance(exponent, (int, np.integer)) for _, exponent in pairs):
+        raise ValueError(f"non-integer exponent in monomial {pairs!r}")
     if any(exponent < 0 for _, exponent in pairs):
         raise ValueError(f"negative exponent in monomial {pairs!r}")
     factors = [factor for factor, exponent in pairs for _ in range(exponent)]

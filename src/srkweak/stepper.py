@@ -65,7 +65,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import randvars
-from .randvars import ITO, STRATONOVICH, NoiseDraw, RvFamily
+from .randvars import ITO, STRATONOVICH, NoiseDraw, RvFamily, _check_count
 from .tableau import MethodTableau, _per_tableau, stage_blocks
 
 __all__ = [
@@ -117,6 +117,8 @@ class SdeProblem:
     """
 
     def __init__(self, d: int, m: int, calculus: str, fields: Sequence[Callable], label: str = ""):
+        _check_count("state dimensions", d, least=1)
+        _check_count("noises", m, least=1)
         if len(fields) != m + 1:
             raise ValueError(f"need m+1 = {m + 1} fields, got {len(fields)}")
         self.d = int(d)
@@ -402,12 +404,6 @@ def _check_step_size(h: float) -> None:
     """The one rule for step sizes, shared by every stepping entry point."""
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"the step size must be a finite positive number, got {h}")
-
-
-def _check_count(what: str, n, least: int = 0) -> None:
-    """The one rule for counts of steps, paths, chains (0 draws nothing) and noises (at least 1)."""
-    if not (isinstance(n, (int, np.integer)) and n >= least):
-        raise ValueError(f"the number of {what} must be an integer of at least {least}, got {n!r}")
 
 
 def _check_step_args(problem: SdeProblem, t: MethodTableau, h: float, draw: Optional[NoiseDraw]):

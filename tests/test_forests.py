@@ -16,7 +16,6 @@ from srkweak.forests import (
     DecoratedForest,
     ForestError,
     ForestSum,
-    PosetError,
     bck_coproduct,
     concat,
     convolution_exp,
@@ -28,8 +27,6 @@ from srkweak.forests import (
     generator_map,
     generator_sum,
     gl_exponential,
-    gl_product,
-    moebius,
     parse_forest,
     symmetry,
 )
@@ -274,13 +271,13 @@ def test_symmetry_brute_force_three_blacks():
 # products
 
 
-def test_gl_product_single_nodes():
-    result = gl_product(pf("[0]"), pf("[0]"))
+def test_gl_single_nodes():
+    result = ForestSum({pf("[0]"): 1}).gl(ForestSum({pf("[0]"): 1}))
     assert dict(result.terms()) == {pf("[0]·[0]"): F(1), pf("[0[0]]"): F(1)}
 
 
-def test_gl_product_two_singles_onto_one():
-    result = gl_product(pf("[0]·[0]"), pf("[0]"))
+def test_gl_two_singles_onto_one():
+    result = ForestSum({pf("[0]·[0]"): 1}).gl(ForestSum({pf("[0]"): 1}))
     assert dict(result.terms()) == {
         pf("[0]·[0]·[0]"): F(1),
         pf("[0]·[0[0]]"): F(2),
@@ -288,8 +285,8 @@ def test_gl_product_two_singles_onto_one():
     }
 
 
-def test_gl_product_liana_pairs():
-    result = gl_product(pf("[1]·[1]"), pf("[2]·[2]"))
+def test_gl_liana_pairs():
+    result = ForestSum({pf("[1]·[1]"): 1}).gl(ForestSum({pf("[2]·[2]"): 1}))
     assert dict(result.terms()) == {
         pf("[1]·[1]·[2]·[2]"): F(1),
         pf("[1]·[1[2]]·[2]"): F(4),
@@ -309,7 +306,7 @@ def test_gl_unit_laws():
 def test_gl_grading():
     ones = enumerate_forests(1, exotic_only=True)
     for f1, f2 in itertools.product(ones, repeat=2):
-        prod = gl_product(f1, f2)
+        prod = ForestSum({f1: 1}).gl(ForestSum({f2: 1}))
         assert prod.homogeneous_order() == 2
 
 
@@ -464,8 +461,61 @@ def test_deshuffle_block_count_rule():
         assert (DecoratedForest.empty() in lefts) and (f in lefts)
 
 
+def _perturbed(name, c, rng):
+    """The registered tableau ``name`` with every entry scaled by 1 + U(-0.1, 0.1), at c."""
+    base = registry_get(name)
+
+    def jitter(a):
+        return None if a is None else a * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, a.shape))
+
+    return make_tableau(
+        f"{name}~{c:.4f}", base.calculus,
+        jitter(base.alpha), jitter(base.beta), jitter(base.A0), jitter(base.B0),
+        jitter(base.A1), jitter(base.B1), jitter(base.Bhat1),
+        c=c, det_order=base.det_order, weak_order=base.weak_order, structure=base.structure,
+    )
+
+
+def test_deshuffle_blocks_factor_both_sides():
+    # every split of a forest of order <= 3 into two non-empty sets of its
+    # liana-connected blocks: the exact-flow target and the Runge-Kutta
+    # coefficient of the forest are the products of those of the two sides
+    splits = [(f, l, r) for f in enumerate_forests(3) for l, r, _ in deshuffle(f) if l.trees and r.trees]
+    assert len(splits) == 249
+    assert sum(f.is_exotic for f, _, _ in splits) == 195
+    assert sum(f.order == 3 for f, _, _ in splits) == 240
+
+    # flow side, exactly: e(f) for an exotic f, otherwise the refinement sum
+    # that conditions._flow_target takes at order 2, here at order 3
+    for calculus in (ITO, STRATONOVICH):
+        e = exact_flow_coefficients(calculus, 3)
+
+        def target(f):
+            if f.is_exotic:
+                return e(f)
+            return sum((mult * e(g) for g, mult in finer_decorations(f, exotic_only=True)), F(0))
+
+        for f, l, r in splits:
+            assert target(f) == target(l) * target(r), (calculus, f.text, l.text, r.text)
+
+    # method side, on the registered tableaux and on perturbed ones whose
+    # conditions fail, so the factorization does not rest on them holding
+    programs = [fo.contraction_program(tuple(split[k] for split in splits)) for k in range(3)]
+    rng = np.random.default_rng(20261021)
+    tableaux = [registry_get(name) for name in registry_names()]
+    tableaux += [
+        _perturbed(name, c, rng)
+        for name in ("BDK1", "BDK3", "StratoExplicit24", "StratoDIRK")
+        for c in (1 / 2, 1 / 3, 1 / 4, 1 / 5)
+    ]
+    for t in tableaux:
+        v_f, v_l, v_r = (program.evaluate(t) for program in programs)
+        for (f, l, r), a, b, c in zip(splits, v_f, v_l, v_r):
+            assert abs(a - b * c) <= 1e-14 * (1.0 + abs(a)), (t.name, f.text, l.text, r.text)
+
+
 # ---------------------------------------------------------------------------
-# refinement, Isserlis multiplicities, Moebius
+# refinement and Isserlis multiplicities
 
 
 def test_finer_decorations_identity_on_exotic():
@@ -500,48 +550,6 @@ def test_finer_decorations_includes_trivial_refinement():
     got = dict(finer_decorations(f))
     assert got[f] == 1
     assert got[pf("[1]·[1]·[2]·[2]")] == 3
-
-
-def test_moebius_basics():
-    f = pf("[1[1]]·[1]·[1]")
-    assert moebius(f, f) == 1
-    assert moebius(pf("[1[1]]·[2]·[2]"), f) == -1
-    assert moebius(pf("[1[2]]·[1]·[2]"), f) == -1
-    with pytest.raises(PosetError):
-        moebius(pf("[0]"), f)
-
-
-def test_moebius_partition_lattice_of_three_pairs():
-    fine = pf("[1]·[1]·[2]·[2]·[3]·[3]")
-    coarse = pf("[1]·[1]·[1]·[1]·[1]·[1]")
-    # interval is the partition lattice of the three pairs: mu = (3-1)! = 2
-    assert moebius(fine, coarse) == 2
-    middle = pf("[1]·[1]·[1]·[1]·[2]·[2]")
-    assert moebius(fine, middle) == -1
-    assert moebius(middle, coarse) == -1
-
-
-def test_moebius_is_a_product_over_coarse_classes():
-    fine = pf("[1]·[1]·[2]·[2]·[3]·[3]·[4]·[4]")
-    # two classes of two pairs each: (-1) * (-1)
-    assert moebius(fine, pf("[1]·[1]·[1]·[1]·[2]·[2]·[2]·[2]")) == 1
-    # one class of four pairs: (-1)^3 * 3!
-    assert moebius(fine, pf("[1]·[1]·[1]·[1]·[1]·[1]·[1]·[1]")) == -6
-
-
-def test_moebius_inversion_brute_force():
-    # On the decorations of four isolated nodes: h is arbitrary on the poset,
-    # g(d) = sum of h over coarser decorations, and Moebius inversion must
-    # recover h(d) = sum mu(d, d0) g(d0) over coarser d0.
-    top = pf("[1]·[1]·[1]·[1]")
-    pairing = pf("[1]·[1]·[2]·[2]")
-    h = {top: 5, pairing: 7}
-    # concrete decorations: one all-four class and three distinct pairings
-    g_top = h[top]
-    g_pairing = h[pairing] + h[top]
-    recovered = moebius(pairing, pairing) * g_pairing + moebius(pairing, top) * g_top
-    assert recovered == h[pairing]
-    assert moebius(pairing, top) == -1
 
 
 # ---------------------------------------------------------------------------
@@ -608,22 +616,13 @@ def _rk_coefficient_reference(t, f, noise_labels=None):
 def _weak2_variants():
     """Each registered weak-order-2 tableau, a seeded perturbation and one with a fresh c."""
     rng = np.random.default_rng(20261018)
-
-    def jitter(a):
-        return None if a is None else a * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, a.shape))
-
     for name in registry_names():
         base = registry_get(name)
         if base.weak_order != 2:
             continue
         yield base
         for c in (base.c, rng.uniform(0.05, 0.45)):
-            yield make_tableau(
-                f"{name}~{c:.4f}", base.calculus,
-                jitter(base.alpha), jitter(base.beta), jitter(base.A0), jitter(base.B0),
-                jitter(base.A1), jitter(base.B1), jitter(base.Bhat1),
-                c=c, det_order=base.det_order, weak_order=2, structure=base.structure,
-            )
+            yield _perturbed(name, c, rng)
 
 
 @pytest.mark.parametrize("t", list(_weak2_variants()), ids=lambda t: t.name)

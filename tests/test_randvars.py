@@ -213,7 +213,7 @@ def test_sample_stream_use_is_rv_count():
         # both streams must now be at the same position
         assert rng1.random() == rng2.random()
     f = fam(ITO, 0.25)
-    with pytest.raises(ValueError, match="at least one noise"):
+    with pytest.raises(ValueError, match="the number of noises must be an integer of at least 1, got 0"):
         sample_draw(f, 0, np.random.default_rng(5))
     with pytest.raises(ValueError, match=f"expected {f.rv_count(2)} uniforms per draw, got 3"):
         draws_from_uniforms(f, 2, np.full((4, 3), 0.5))
@@ -389,6 +389,26 @@ def test_atom_columns_and_entry_moments_equal_the_reference(calculus, c, m):
 def test_moment_rejects_a_negative_exponent():
     with pytest.raises(ValueError, match="negative exponent"):
         moment(fam(ITO, 0.5), 1, [(("theta", 1), -1)])
+
+
+def test_moment_rejects_a_non_integer_exponent():
+    with pytest.raises(ValueError, match="non-integer exponent"):
+        moment(fam(ITO, 0.5), 1, [(("theta", 1), 1.5)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: enumerate_atoms(f, 2.0),
+        lambda f: moment(f, 2.0, [(("theta", 1), 2)]),
+        lambda f: sample_draw(f, 1.5, np.random.default_rng(5)),
+        lambda f: Monomials(1.5, [[("theta", 1)]]),
+    ],
+    ids=["enumerate_atoms", "moment", "sample_draw", "Monomials"],
+)
+def test_a_non_integer_noise_count_is_the_one_count_error(call):
+    with pytest.raises(ValueError, match=r"^the number of noises must be an integer of at least 1, got \d\.\d$"):
+        call(fam(ITO, 0.25))
 
 
 def _all_factors(m):

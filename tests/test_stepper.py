@@ -166,6 +166,17 @@ def test_step_argument_checks():
         SdeProblem(1, 1, ITO, [lambda x: x] * 3)
 
 
+@pytest.mark.parametrize(
+    "d,m,what",
+    [(1, 0, "noises"), (1.5, 1, "state dimensions"), (0, 1, "state dimensions"), (1, 1.0, "noises")],
+)
+def test_problem_dimension_and_noise_counts_share_the_count_rule(d, m, what):
+    # m + 1 fields, so only the count rule can reject the problem
+    got = m if what == "noises" else d
+    with pytest.raises(ValueError, match=f"^the number of {what} must be an integer of at least 1, got {got}$"):
+        SdeProblem(d, m, ITO, [lambda x: x] * (int(m) + 1))
+
+
 def test_nonfinite_state_raises_with_context():
     t = registry_get("BDK1")
     prob = SdeProblem(1, 1, ITO, [lambda x: x * 1e200, lambda x: np.zeros_like(x)])
