@@ -102,13 +102,12 @@ class TableRow:
     forest: DecoratedForest
     target_ito: Fraction
     target_strat: Fraction
-    kind: str  # "exotic" | "decorated"
     description: str
     float_ito: float
     float_strat: float
 
     @classmethod
-    def make(cls, id: str, forest: DecoratedForest, kind: str) -> "TableRow":
+    def make(cls, id: str, forest: DecoratedForest) -> "TableRow":
         target_ito = _flow_target(forest, ITO)
         target_strat = _flow_target(forest, STRATONOVICH)
         return cls(
@@ -116,7 +115,6 @@ class TableRow:
             forest=forest,
             target_ito=target_ito,
             target_strat=target_strat,
-            kind=kind,
             description=forests.elementary_differential_string(forest),
             float_ito=float(target_ito),
             float_strat=float(target_strat),
@@ -124,9 +122,9 @@ class TableRow:
 
 
 def _flow_target(f: DecoratedForest, calculus: str) -> Fraction:
-    """Exact-flow target of a forest: e(f) when exotic, otherwise the sum of
-    exact-flow coefficients over its exotic decoration refinements."""
-    e = exact_flow_coefficients(calculus, 2)
+    """Exact-flow target of a forest: e(f) when exotic, otherwise the sum of e over its
+    exotic decoration refinements; e is the flow truncated at f's order, or at 2."""
+    e = exact_flow_coefficients(calculus, max(2, int(f.order)))
     if f.is_exotic:
         return e(f)
     total = Fraction(0)
@@ -140,8 +138,8 @@ def condition_table() -> tuple:
     """All weak-order-two condition rows with both calculus target columns."""
     exotic = enumerate_forests(2, exotic_only=True)
     decorated = [f for f in enumerate_forests(2) if not f.is_exotic]
-    rows = [TableRow.make(f"E{i:02d}", f, "exotic") for i, f in enumerate(exotic, start=1)]
-    rows += [TableRow.make(f"D{i:02d}", f, "decorated") for i, f in enumerate(decorated, start=1)]
+    rows = [TableRow.make(f"E{i:02d}", f) for i, f in enumerate(exotic, start=1)]
+    rows += [TableRow.make(f"D{i:02d}", f) for i, f in enumerate(decorated, start=1)]
     return tuple(rows)
 
 

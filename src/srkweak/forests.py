@@ -45,7 +45,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import randvars
-from .randvars import ITO, STRATONOVICH, CapacityError
+from .randvars import STRATONOVICH, CapacityError, _check_calculus
 
 __all__ = [
     "DecoratedForest",
@@ -471,14 +471,11 @@ _LIANA_CHAIN = "[1[1]]"
 
 def generator_sum(calculus: str) -> ForestSum:
     """Forest-sum representation of the SDE generator (order-1 homogeneous)."""
-    black = parse_forest(_BLACK)
-    pair = parse_forest(_LIANA_PAIR)
-    chain = parse_forest(_LIANA_CHAIN)
-    if calculus == ITO:
-        return ForestSum({black: 1, pair: Fraction(1, 2)})
+    _check_calculus(calculus)
+    terms = {parse_forest(_BLACK): 1, parse_forest(_LIANA_PAIR): Fraction(1, 2)}
     if calculus == STRATONOVICH:
-        return ForestSum({black: 1, pair: Fraction(1, 2), chain: Fraction(1, 2)})
-    raise ValueError(f"unknown calculus {calculus!r}")
+        terms[parse_forest(_LIANA_CHAIN)] = Fraction(1, 2)
+    return ForestSum(terms)
 
 
 def generator_map(calculus: str) -> "CoefficientMap":

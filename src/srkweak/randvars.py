@@ -124,8 +124,7 @@ class RvFamily:
     c: float
 
     def __post_init__(self):
-        if self.calculus not in CALCULI:
-            raise FamilyError(f"unknown calculus {self.calculus!r}")
+        _check_calculus(self.calculus)
         if not 0.0 < self.c <= 0.5:
             raise FamilyError(f"c must lie in (0, 1/2], got {self.c}")
 
@@ -150,6 +149,7 @@ class RvFamily:
         theta_p for every noise, eta_p per noise unless the c=1/2 variant, and
         eta_0 only when there are mixed entries, i.e. m > 1.
         """
+        _check_count("noises", m, least=1)
         n = m
         if not self.half_variant:
             n += m
@@ -314,6 +314,12 @@ def mixing_coefficients(family: RvFamily, theta: np.ndarray, eta: np.ndarray):
     return row0, col0, diag, th * (1.0 + e[0]), th * (1.0 - e[0])
 
 
+def _check_calculus(calculus) -> None:
+    """The one rule for a calculus name, shared by families, problems and generators."""
+    if calculus not in CALCULI:
+        raise FamilyError(f"unknown calculus {calculus!r}")
+
+
 def _check_count(what: str, n, least: int = 0) -> None:
     """The one rule for every count (steps, paths, chains, batches, noises, state dimensions)."""
     if not (isinstance(n, (int, np.integer)) and n >= least):
@@ -322,7 +328,6 @@ def _check_count(what: str, n, least: int = 0) -> None:
 
 def sample_draw(family: RvFamily, m: int, rng: np.random.Generator) -> NoiseDraw:
     """Sample one step's draw; consumes exactly ``rv_count(m)`` uniforms from rng."""
-    _check_count("noises", m, least=1)
     u = rng.random(family.rv_count(m))
     theta, eta = draws_from_uniforms(family, m, u)
     theta.setflags(write=False)

@@ -54,6 +54,13 @@ weighted sum, in an order fixed whatever the draw's memory layout, and
 :func:`langevin_postprocessed_step` is its one-step case.  The chain forms
 draws and mixing coefficients a sub-block of steps at a time from blocks of
 pre-drawn uniforms, and equals that step iterated, bit for bit.
+
+A failed step raises once, from the kernel, whatever the entry point:
+:class:`NonFiniteStateError` for a non-finite state and
+:class:`ImplicitSolveError` for a fixed point not reached, each with the
+record ``where = (step, row)`` of :class:`StepError`, the 0-based step and
+its first bad path or chain; row is None for a cyclic block, whose stopping
+test the batch shares.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import randvars
-from .randvars import ITO, STRATONOVICH, NoiseDraw, RvFamily, _check_count
+from .randvars import ITO, STRATONOVICH, NoiseDraw, RvFamily, _check_calculus, _check_count
 from .tableau import MethodTableau, _per_tableau, stage_blocks
 
 __all__ = [
@@ -91,7 +98,11 @@ _STREAM_CHUNK_UNIFORMS = 65_536  # most uniforms integrate_paths draws before tr
 
 
 class StepError(RuntimeError):
-    """A step failed; carries the step context (step size, method, where)."""
+    """A step failed; carries the step context (step size, method, where).
+
+    ``where = (step, row)``: the 0-based step (0 of 1 for a single step) and
+    its first bad path or chain, or None for a cyclic block, whose
+    fixed-point stopping test the batch shares."""
 
     def __init__(self, message, *, h=None, method=None, where=None):
         super().__init__(message)
@@ -119,6 +130,7 @@ class SdeProblem:
     def __init__(self, d: int, m: int, calculus: str, fields: Sequence[Callable], label: str = ""):
         _check_count("state dimensions", d, least=1)
         _check_count("noises", m, least=1)
+        _check_calculus(calculus)
         if len(fields) != m + 1:
             raise ValueError(f"need m+1 = {m + 1} fields, got {len(fields)}")
         self.d = int(d)
@@ -342,7 +354,7 @@ class _StageValues:
         if program.reads_V[i]:
             self.V[i] = _mix(self.coefficients, F, program.strato)
 
-    def solve(self, stages):
+    def solve(self, stages, at):
         """Fixed-point iteration on a cyclic block's stage inputs, started from x.
 
         Each stage's prefix sum and the products of its later out-of-block
@@ -378,26 +390,51 @@ class _StageValues:
             if converged:
                 return
         nodes = ", ".join(f"{s.kind} {s.i}" for s in stages)
-        name, h = self.program.name, self.h
+        name, h, (k, n_steps) = self.program.name, self.h, at
         raise ImplicitSolveError(
-            f"fixed point for stage block ({nodes}) of {name} did not reach "
-            f"{tol:.3g} within {FIXED_POINT_MAXITER} iterations (h={h})", h=h, method=name
+            f"fixed point for stage block ({nodes}) of {name} did not reach {tol:.3g} within "
+            f"{FIXED_POINT_MAXITER} iterations at step {k + 1}/{n_steps} (h={h})",
+            h=h, method=name, where=(k, None),
         )
 
 
-def _apply_step(problem, t, xb, h, th, coefficients):
-    """One step of the batch ``xb`` (n, d); ``th`` holds theta_1..theta_m as
-    noise-major rows (m, n)."""
+def _check_finite(states, at, h, what, row, method=None):
+    """The one failure rule of every stepping entry point: the states of step
+    ``at = (s, n_steps)``, each (n, d), must be finite, or the step raises
+    with ``where = (s, first row with a non-finite entry in any state)``."""
+    if all(np.isfinite(x).all() for x in states):
+        return
+    finite = np.logical_and.reduce([np.isfinite(x).all(axis=1) for x in states])
+    bad = int(np.flatnonzero(~finite)[0])
+    s, n_steps = at
+    raise NonFiniteStateError(
+        f"non-finite state at step {s + 1}/{n_steps} of {what} (h={h}, first bad {row} {bad})",
+        h=h, method=method, where=(s, bad),
+    )
+
+
+def _apply_step(problem, t, xb, h, th, coefficients, at):
+    """Step ``at = (s, n_steps)`` of the batch ``xb`` (n, d); ``th`` holds
+    theta_1..theta_m as noise-major rows (m, n)."""
     program = _stage_program(t)
     values = _StageValues(problem, program, xb, h, th, coefficients)
     for stages, cyclic in program.blocks:  # in dependency order
         if cyclic:
-            values.solve(stages)
+            values.solve(stages, at)
         else:
             (stage,) = stages
             values.evaluate(stage, values.prefix_sum(stage))
     values.U = values.V = None  # frees the mixes, which the update does not read
-    return values.prefix_sum(program.update)
+    out = values.prefix_sum(program.update)
+    _check_finite((out,), at, h, t.name, "path", t.name)
+    return out
+
+
+def _one_step(problem, t, x, h, draw, at):
+    """Step ``at`` of one state ``x`` (d,): the n = 1 case of :func:`_apply_step`."""
+    coefficients = randvars.mixing_coefficients(draw.family, draw.theta[None], draw.eta[None])
+    out = _apply_step(problem, t, x.reshape(1, problem.d), h, draw.theta[1:, None], coefficients, at)
+    return out.reshape(x.shape)
 
 
 def _check_step_size(h: float) -> None:
@@ -406,35 +443,28 @@ def _check_step_size(h: float) -> None:
         raise ValueError(f"the step size must be a finite positive number, got {h}")
 
 
-def _check_step_args(problem: SdeProblem, t: MethodTableau, h: float, draw: Optional[NoiseDraw]):
+def _check_step_args(problem: SdeProblem, t: MethodTableau, h: float, n_steps: int):
+    """The checks of a run of ``n_steps`` steps, made once before its first step."""
     _check_step_size(h)
     if problem.calculus != t.calculus:
         raise ValueError(
             f"calculus mismatch: problem is {problem.calculus}, method {t.name} is {t.calculus}"
         )
-    if draw is not None:
-        if draw.m != problem.m:
-            raise ValueError(f"draw has m={draw.m}, problem has m={problem.m}")
-        family = t.family
-        if draw.family != family:
-            raise ValueError(
-                f"draw is from the {draw.calculus} family with c={draw.family.c}, "
-                f"method {t.name} needs {family.calculus} with c={family.c}"
-            )
+    _check_count("steps", n_steps)
 
 
 def step(problem: SdeProblem, t: MethodTableau, x, h: float, draw: NoiseDraw) -> np.ndarray:
     """One method step from state ``x`` using the given per-step draw."""
-    _check_step_args(problem, t, h, draw)
-    x = np.asarray(x, dtype=float)
-    xb = x.reshape(1, problem.d)
-    coefficients = randvars.mixing_coefficients(draw.family, draw.theta[None], draw.eta[None])
-    out = _apply_step(problem, t, xb, h, draw.theta[1:, None], coefficients)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteStateError(
-            f"non-finite state after one {t.name} step (h={h})", h=h, method=t.name
+    _check_step_args(problem, t, h, 1)
+    if draw.m != problem.m:
+        raise ValueError(f"draw has m={draw.m}, problem has m={problem.m}")
+    family = t.family
+    if draw.family != family:
+        raise ValueError(
+            f"draw is from the {draw.calculus} family with c={draw.family.c}, "
+            f"method {t.name} needs {family.calculus} with c={family.c}"
         )
-    return out.reshape(x.shape)
+    return _one_step(problem, t, np.asarray(x, dtype=float), h, draw, (0, 1))
 
 
 def integrate_path(
@@ -446,21 +476,11 @@ def integrate_path(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """n-fold composition of :func:`step` with a fresh draw per step."""
-    _check_step_args(problem, t, h, None)
-    _check_count("steps", n_steps)
+    _check_step_args(problem, t, h, n_steps)
     family = t.family
     x = np.asarray(x0, dtype=float)
-    for k in range(n_steps):
-        draw = randvars.sample_draw(family, problem.m, rng)
-        try:
-            x = step(problem, t, x, h, draw)
-        except NonFiniteStateError as exc:
-            raise NonFiniteStateError(
-                f"non-finite state at step {k + 1}/{n_steps} of {t.name} (h={h})",
-                h=h,
-                method=t.name,
-                where=k,
-            ) from exc
+    for s in range(n_steps):
+        x = _one_step(problem, t, x, h, randvars.sample_draw(family, problem.m, rng), (s, n_steps))
     return x
 
 
@@ -486,8 +506,7 @@ def integrate_paths(
     its stopping test are shared across the batch, so a path may take more
     sweeps than alone.
     """
-    _check_step_args(problem, t, h, None)
-    _check_count("steps", n_steps)
+    _check_step_args(problem, t, h, n_steps)
     _check_count("paths", n_paths)
     family = t.family
     m = problem.m
@@ -503,16 +522,7 @@ def integrate_paths(
         theta, eta = randvars.draws_from_uniforms(family, m, ut[s].T)
         coefficients = randvars.mixing_coefficients(family, theta, eta)
         del eta  # the stages need only theta and the coefficients
-        x = _apply_step(problem, t, x, h, theta.T[1:], coefficients)
-        if not np.isfinite(x).all():
-            bad = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
-            raise NonFiniteStateError(
-                f"non-finite state at step {s + 1}/{n_steps} of {t.name} "
-                f"(h={h}, first bad path {bad})",
-                h=h,
-                method=t.name,
-                where=(s, bad),
-            )
+        x = _apply_step(problem, t, x, h, theta.T[1:], coefficients, (s, n_steps))
     return x
 
 
@@ -529,11 +539,11 @@ class LangevinState:
     f_xbar: Optional[np.ndarray] = None
 
 
-def _postprocessed_step(F, D, x, f_prev, h, th, coefficients):
-    """One step of the chains ``x`` (n, d), given F at their previous outputs,
-    theta_1..theta_m ``th`` as noise-major rows (m, n) and the draws' mixing
-    coefficients.  The sums over noises are the stepping core's, in its fixed
-    order.  Returns ``(x_next, xbar, F(xbar))``."""
+def _postprocessed_step(F, D, x, f_prev, h, th, coefficients, at):
+    """Step ``at = (s, n_steps)`` of the chains ``x`` (n, d), given F at their
+    previous outputs, theta_1..theta_m ``th`` as noise-major rows (m, n) and
+    the draws' mixing coefficients.  The sums over noises are the stepping
+    core's, in its fixed order.  Returns ``(x_next, xbar, F(xbar))``."""
     H = x + (h / 4.0) * f_prev
     DH = np.moveaxis(D(H), 2, 0)                       # (m, n, d): column p of D(H) in row p
     root_half_h = math.sqrt(h / 2.0)
@@ -542,12 +552,7 @@ def _postprocessed_step(F, D, x, f_prev, h, th, coefficients):
     V = _mix(coefficients, DH, False)                  # (m, n, d)
     cols = np.stack([D(H + root_half_h * V[p])[:, :, p] for p in range(len(V))])
     x_next = x + h * f_cur + math.sqrt(2.0 * h) * _weighted_sum(th, cols)
-    finite = np.isfinite(x_next) & np.isfinite(xbar)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite.all(axis=1))[0])
-        raise NonFiniteStateError(
-            f"non-finite state in postprocessed step (h={h}, first bad chain {bad})", h=h, where=bad
-        )
+    _check_finite((x_next, xbar), at, h, "the postprocessed chain", "chain")
     return x_next, xbar, f_cur
 
 
@@ -580,7 +585,7 @@ def langevin_postprocessed_step(
     f_prev = F(xbar) if state.f_xbar is None else np.atleast_2d(state.f_xbar)
     theta, eta = np.atleast_2d(draw.theta), np.atleast_2d(draw.eta)   # (n, m+1)
     coefficients = randvars.mixing_coefficients(draw.family, theta, eta)
-    out = _postprocessed_step(F, D, x, f_prev, h, theta.T[1:], coefficients)
+    out = _postprocessed_step(F, D, x, f_prev, h, theta.T[1:], coefficients, (0, 1))
     return LangevinState(*(a[0] if np.ndim(state.x) == 1 else a for a in out))
 
 
@@ -603,15 +608,14 @@ def langevin_chain(
     parameters); x, xbar and F(xbar) are carried as (n_chains, d) arrays.
     """
     _check_step_size(h)
-    _check_count("noises", m, least=1)
+    family = RvFamily.make(ITO, 0.5)
+    k = family.rv_count(m)  # and the count rule for m
     _check_count("steps", n_steps)
     _check_count("chains", n_chains)
-    family = RvFamily.make(ITO, 0.5)
     d = np.asarray(x0, dtype=float).shape[-1] if np.asarray(x0).ndim else 1
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_chains, d)).copy()
     xbar = x.copy()
     f_xbar = F(xbar) if n_steps > 0 else None
-    k = family.rv_count(m)
     block = max(1, _CHAIN_BLOCK_UNIFORMS // max(1, n_chains * k))
     sub_block = max(1, _CHAIN_SUB_BLOCK_VALUES // max(1, n_chains * (m + 1)))
     for s in range(n_steps):
@@ -623,15 +627,9 @@ def langevin_chain(
             theta, eta = randvars.draws_from_uniforms(family, m, u[:, i : i + sub_block])
             coefficients = randvars.mixing_coefficients(family, theta, eta)
         step_coefficients = [c if c is None else c[:, j] for c in coefficients]
-        try:
-            x, xbar, f_xbar = _postprocessed_step(F, D, x, f_xbar, h, theta.T[1:, j], step_coefficients)
-        except NonFiniteStateError as exc:
-            raise NonFiniteStateError(
-                f"non-finite state at step {s + 1}/{n_steps} of the postprocessed "
-                f"chain (h={h}, first bad chain {exc.where})",
-                h=h,
-                where=(s, exc.where),
-            ) from exc
+        x, xbar, f_xbar = _postprocessed_step(
+            F, D, x, f_xbar, h, theta.T[1:, j], step_coefficients, (s, n_steps)
+        )
         if observer is not None:
             observer(s, xbar)
     return LangevinState(x, xbar, f_xbar)

@@ -31,8 +31,8 @@ def _by_forest(report):
 def test_condition_table_shape():
     rows = condition_table()
     assert len(rows) == 43
-    assert sum(1 for r in rows if r.kind == "exotic") == 34
-    assert sum(1 for r in rows if r.kind == "decorated") == 9
+    assert sum(1 for r in rows if r.forest.is_exotic) == 34
+    assert sum(1 for r in rows if not r.forest.is_exotic) == 9
 
 
 @pytest.mark.parametrize("name", WEAK2)

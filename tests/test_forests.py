@@ -30,7 +30,7 @@ from srkweak.forests import (
     parse_forest,
     symmetry,
 )
-from srkweak.conditions import condition_table
+from srkweak.conditions import _flow_target, condition_table
 from srkweak.randvars import ITO, STRATONOVICH, RvFamily, moment
 from srkweak.tableau import make_tableau, registry_get, registry_names
 
@@ -485,18 +485,12 @@ def test_deshuffle_blocks_factor_both_sides():
     assert sum(f.is_exotic for f, _, _ in splits) == 195
     assert sum(f.order == 3 for f, _, _ in splits) == 240
 
-    # flow side, exactly: e(f) for an exotic f, otherwise the refinement sum
-    # that conditions._flow_target takes at order 2, here at order 3
+    # flow side, exactly, with the condition table's own target rule: e(f)
+    # for an exotic f, otherwise the sum over its exotic refinements
     for calculus in (ITO, STRATONOVICH):
-        e = exact_flow_coefficients(calculus, 3)
-
-        def target(f):
-            if f.is_exotic:
-                return e(f)
-            return sum((mult * e(g) for g, mult in finer_decorations(f, exotic_only=True)), F(0))
-
         for f, l, r in splits:
-            assert target(f) == target(l) * target(r), (calculus, f.text, l.text, r.text)
+            e_f, e_l, e_r = (_flow_target(g, calculus) for g in (f, l, r))
+            assert e_f == e_l * e_r, (calculus, f.text, l.text, r.text)
 
     # method side, on the registered tableaux and on perturbed ones whose
     # conditions fail, so the factorization does not rest on them holding

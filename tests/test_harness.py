@@ -109,6 +109,7 @@ def test_weak_error_keeps_the_class_and_context_of_a_step_failure():
     with pytest.raises(ImplicitSolveError, match=r"^stiff/ItoDIRKEX batch 0 \(h=0.25, seed=1\): fixed point") as info:
         estimate_weak_error(stiff, registry_get("ItoDIRKEX"), 0.25, 2, 10, seed=1)
     assert (info.value.h, info.value.method) == (0.25, "ItoDIRKEX")
+    assert info.value.where[0] == 0 and "at step 1/8 (h=0.25)" in str(info.value)
     # cubic drift: BDK1 overflows at the fourth step of h = 1/2
     cubic = _linear_setup(lambda x: x * x * x, "cubic")
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteStateError) as info:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from srkweak import conditions, randvars
+from srkweak.forests import generator_sum
 from srkweak.randvars import (
     ITO,
     STRATONOVICH,
@@ -25,6 +26,7 @@ from srkweak.randvars import (
     moment,
     sample_draw,
 )
+from srkweak.stepper import SdeProblem
 from srkweak.tableau import make_tableau, registry_get, registry_names
 
 S3 = math.sqrt(3.0)
@@ -43,6 +45,27 @@ def test_family_validation():
         RvFamily.make("milstein", 0.5)
     assert fam(ITO, 0.5).half_variant is True
     assert fam(STRATONOVICH, 0.25).half_variant is False
+
+
+@pytest.mark.parametrize("calculus", ["itoo", "Ito", None])
+def test_one_calculus_rule_for_families_problems_and_generators(calculus):
+    message = f"^unknown calculus {calculus!r}$"
+    with pytest.raises(FamilyError, match=message):
+        RvFamily.make(calculus, 0.5)
+    with pytest.raises(FamilyError, match=message):
+        SdeProblem(1, 1, calculus, [lambda x: x] * 2)  # not only at the first step
+    with pytest.raises(FamilyError, match=message):
+        generator_sum(calculus)
+
+
+def test_noise_counts_share_the_count_rule():
+    message = "^the number of noises must be an integer of at least 1, got {}$"
+    with pytest.raises(ValueError, match=message.format(1.5)):
+        fam(ITO, 0.5).rv_count(1.5)
+    with pytest.raises(ValueError, match=message.format(-1)):
+        fam(ITO, 0.5).rv_count(-1)
+    with pytest.raises(ValueError, match=message.format(r"2\.0")):
+        draws_from_uniforms(fam(ITO, 0.25), 2.0, np.full((2, 5), 0.5))
 
 
 def test_theta_supports():

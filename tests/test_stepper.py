@@ -187,6 +187,43 @@ def test_nonfinite_state_raises_with_context():
     assert err.value.where is not None
 
 
+def test_a_path_and_a_one_path_batch_report_the_same_failure():
+    # dX = X^3 dt + X/2 dW from X = 1 overflows at the fifth BDK1 step of h = 1/2;
+    # both entry points run the same one-step kernel on the same stream
+    t = registry_get("BDK1")
+    cubic = lambda: SdeProblem(1, 1, ITO, [lambda x: x * x * x, lambda x: 0.5 * x])
+    runs = [
+        lambda rng: integrate_path(cubic(), t, np.array([1.0]), 0.5, 8, rng),
+        lambda rng: integrate_paths(cubic(), t, np.array([1.0]), 0.5, 8, 1, rng),
+    ]
+    errors = []
+    for run in runs:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteStateError) as err:
+            run(np.random.default_rng(0))
+        errors.append(err.value)
+    for e in errors:
+        assert (e.where, e.h, e.method) == ((4, 0), 0.5, "BDK1")
+        assert str(e) == "non-finite state at step 5/8 of BDK1 (h=0.5, first bad path 0)"
+        assert e.__cause__ is None
+
+
+def test_a_single_step_and_an_implicit_solve_name_their_step():
+    t = registry_get("BDK1")
+    prob = SdeProblem(1, 1, ITO, [lambda x: x * 1e200, lambda x: np.zeros_like(x)])
+    draw = sample_draw(t.family, 1, np.random.default_rng(7))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as err:
+        step(prob, t, np.array([1e200]), 1.0, draw)
+    assert err.value.where == (0, 0)
+    assert str(err.value) == "non-finite state at step 1/1 of BDK1 (h=1.0, first bad path 0)"
+    # the stopping test is shared across the batch, so no single path is named
+    t = registry_get("ItoDIRKEX")
+    prob = SdeProblem(1, 1, ITO, [lambda x: 50.0 * x, lambda x: 50.0 * x])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ImplicitSolveError) as err:
+        integrate_paths(prob, t, np.array([1.0]), 1.0, 3, 4, np.random.default_rng(11))
+    assert (err.value.where, err.value.method) == ((0, None), "ItoDIRKEX")
+    assert str(err.value).endswith("within 200 iterations at step 1/3 (h=1.0)")
+
+
 def test_batch_matches_sequential_scalar_paths():
     t = registry_get("BDK1")
     rng_batch = np.random.default_rng(42)
@@ -390,14 +427,14 @@ def test_a_non_finite_langevin_step_names_its_step_and_first_bad_chain():
     state = LangevinState(np.array([[0.0], [1e200], [1e200]]), np.zeros((3, d)))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteStateError) as err:
         langevin_postprocessed_step(F, D, state, 0.5, draw)
-    assert (err.value.where, err.value.h) == (1, 0.5)
+    assert (err.value.where, err.value.h) == ((0, 1), 0.5)
     assert "first bad chain 1" in str(err.value)
-    # the chain re-raises it with the step: where = (step, chain), as integrate_paths does
+    # the chain raises the same record at its step: where = (step, chain), as integrate_paths does
     rng = np.random.default_rng(np.random.SeedSequence((0,)))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteStateError) as err:
         langevin_chain(F, D, np.zeros(d), m, 3.0, 50, rng, n_chains=4)
     step_index, chain = err.value.where
-    assert err.value.h == 3.0 and chain == err.value.__cause__.where
+    assert err.value.h == 3.0
     assert str(err.value) == (
         f"non-finite state at step {step_index + 1}/50 of the postprocessed chain "
         f"(h=3.0, first bad chain {chain})"
